@@ -30,11 +30,8 @@ from .ldpc import (TABLE_PROFILES, DecodeResult, DegreeProfile, LdpcCode,
                    SumProduct, bp_decode, bp_decode_batch, build_code,
                    check_message_llr, check_message_probability,
                    code_from_parity_check, encode, read_alist,
-                   regular_profile, sum_product_kernel, write_alist)
-from .model import (ComplexChannel, RealSystemInstance, SnrSpec, demodulate,
-                    generate_channel, modulate, noise_variance,
-                    simulate_transmission, to_complex_vec, to_real,
-                    to_real_vec, transmit)
+                   regular_profile, write_alist)
+from .model import draw_channels, modulate, noise_variance, real_stack
 from .mpd import (BeliefState, GramObservation, MpdConfig, MpdEngine,
                   aitken_step, hard_decision, matched_filter, mpd_detect)
 

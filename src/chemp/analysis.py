@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import PilotObservation, estimate_gram, estimate_z
-from .model import to_real
+from .estimate import estimate_gram, estimate_z, receive_pilots
+from .model import draw_channels, noise_variance, real_stack
 from .mpd import BeliefState, MpdEngine, matched_filter
 
 __all__ = [
@@ -109,19 +109,15 @@ def llr_mse_empirical(n_antennas: int, n_users: int, snr_db: float, trials: int,
     Returns the mean squared LLR difference, or (mse, mean_bound) when
     with_bound is set.
     """
-    from .model import generate_channel, noise_variance
-
     n, k = n_antennas, n_users
     nv = noise_variance(snr_db, k, symbol_energy)
     p = float(pilot_amplitude)
     sq_err = []
     bounds = []
     for _ in range(trials):
-        ch = generate_channel(n, k, rng)
-        H = to_real(ch)
-        wc = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) * np.sqrt(nv)
-        pilots = PilotObservation(Y_p=to_real(p * ch.entries + wc), amplitude=p,
-                                  noise_var=nv)
+        hc = draw_channels(rng, n, k)
+        H = real_stack(hc)
+        pilots = receive_pilots(rng, hc, nv, p)
         x = np.where(rng.random(2 * k) < 0.5, -1.0, 1.0)
         w = rng.normal(0.0, np.sqrt(nv), 2 * n)
         y = H @ x + w

@@ -5,8 +5,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erfc
 
-from .model import SnrSpec
-
 __all__ = ["mmse_detect", "map_oracle", "siso_awgn_ber", "qfunc"]
 
 
@@ -60,12 +58,9 @@ def qfunc(x) -> np.ndarray:
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
-def siso_awgn_ber(snr) -> float | np.ndarray:
+def siso_awgn_ber(snr_db) -> float | np.ndarray:
     """Bit error rate of antipodal signalling over the single-user AWGN channel
     at the same average-SNR mapping: BER = Q(sqrt(snr_linear))."""
-    if isinstance(snr, SnrSpec):
-        lin = snr.snr_linear
-    else:
-        lin = 10.0 ** (np.asarray(snr, dtype=float) / 10.0)
+    lin = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
     out = qfunc(np.sqrt(lin))
     return float(out) if np.ndim(out) == 0 else out

@@ -23,9 +23,8 @@ from .harness import (BerCurve, SimConfig, build_sweep_code, config_hash,
                       run_uncoded_sweep)
 from .joint import JointConfig, measure_exit_detector
 from .ldpc import build_code, write_alist
-from .model import generate_channel, noise_variance, to_real
-from .mpd import MpdConfig, MpdEngine, matched_filter, mpd_detect
-from .model import modulate
+from .model import draw_channels, modulate, noise_variance, real_stack
+from .mpd import MpdConfig, matched_filter, mpd_detect
 
 
 class UsageError(Exception):
@@ -102,10 +101,6 @@ def _add_common(sp, with_workers=True):
                         help="parallel trial workers; output identical for any count")
 
 
-def _mpd_config(args) -> MpdConfig:
-    return MpdConfig(iterations=args.iters, damping=args.damping, aitken=args.aitken)
-
-
 def _sweep_config(args, argv, coded: bool) -> SimConfig:
     base = _load_config(args.config)
     values = dict(base)
@@ -142,7 +137,6 @@ def _sweep_config(args, argv, coded: bool) -> SimConfig:
                                ("decoder_passes", "--decoder-passes", args.decoder_passes)):
             if key not in joint or _explicit(argv, flag):
                 joint[key] = val
-        joint.setdefault("damping", values["mpd"].damping)
         values["joint"] = JointConfig(**joint)
     return SimConfig(**values)
 
@@ -174,7 +168,7 @@ def _cmd_hardening(args, argv) -> int:
         k = max(1, int(round(args.alpha * n)))
         reps = []
         for _ in range(args.realizations):
-            h = to_real(generate_channel(n, k, rng))
+            h = real_stack(draw_channels(rng, n, k))
             reps.append(hardening_report(gram(h, n)))
         rows.append((n, k,
                      float(np.mean([r.diag_mean for r in reps])),
@@ -198,7 +192,7 @@ def _cmd_mp_law(args, argv) -> int:
     rng = np.random.default_rng(seed)
     n = args.n
     k = args.k if args.k is not None else max(1, int(round(args.alpha * n)))
-    channels = [generate_channel(n, k, rng) for _ in range(args.realizations)]
+    channels = np.stack([draw_channels(rng, n, k) for _ in range(args.realizations)])
     centers, emp, law = eigenvalue_histogram(channels, bins=args.bins)
     ks = mp_distance(channels)
     out = _out_dir(args)
@@ -241,7 +235,7 @@ def _cmd_convergence(args, argv) -> int:
                     track_history=True)
     rows = []
     for t in range(args.trials):
-        h = to_real(generate_channel(args.n, args.k, rng))
+        h = real_stack(draw_channels(rng, args.n, args.k))
         x = modulate(rng.integers(0, 2, size=2 * args.k))
         y = h @ x + rng.standard_normal(2 * args.n) * np.sqrt(nv)
         obs = matched_filter(h, y, nv)

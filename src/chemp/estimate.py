@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ComplexChannel, to_real
+from .model import real_stack
 from .mpd import GramObservation
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass
 class PilotObservation:
-    """Received pilot block, real-stacked, with the transmit amplitude."""
+    """Received pilot block, real-stacked, with the pilot amplitude."""
 
     Y_p: np.ndarray
     amplitude: float
@@ -58,19 +58,16 @@ def pilot_amplitude(n_users: int, symbol_energy: float = 2.0) -> float:
     return float(np.sqrt(n_users * symbol_energy))
 
 
-def receive_pilots(channel: ComplexChannel, noise_var: float,
-                   rng: np.random.Generator, symbol_energy: float = 2.0,
-                   amplitude: float | None = None) -> PilotObservation:
-    """Simulate the K orthogonal pilot uses and stack the received block.
+def receive_pilots(rng: np.random.Generator, hc: np.ndarray, noise_var: float,
+                   amplitude: float) -> PilotObservation:
+    """Simulate the K orthogonal pilot uses of complex channels hc (..., N, K).
 
     Each complex pilot observation column is h_i scaled by P plus receiver
     noise; stacking the complex block keeps the paired real structure.
     """
-    p = pilot_amplitude(channel.n_users, symbol_energy) if amplitude is None else float(amplitude)
-    n, k = channel.entries.shape
-    wc = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) * np.sqrt(noise_var)
-    yp = p * channel.entries + wc
-    return PilotObservation(Y_p=to_real(yp), amplitude=p, noise_var=noise_var)
+    wc = (rng.standard_normal(hc.shape) + 1j * rng.standard_normal(hc.shape)) * np.sqrt(noise_var)
+    return PilotObservation(Y_p=real_stack(amplitude * hc + wc), amplitude=amplitude,
+                            noise_var=noise_var)
 
 
 def estimate_gram(pilots: PilotObservation, n_antennas: int | None = None,

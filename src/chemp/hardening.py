@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .model import ComplexChannel
-
 __all__ = [
     "GramMatrix",
     "HardeningReport",
@@ -126,24 +124,23 @@ def mp_cdf(x, alpha: float) -> np.ndarray:
     return out if np.ndim(x) else out[0]
 
 
-def _normalized_eigs(channel: ComplexChannel) -> np.ndarray:
-    hc = channel.entries
-    n = channel.n_antennas
-    g = hc.conj().T @ hc / n
-    return np.linalg.eigvalsh(g)
+def _normalized_eigs(hc: np.ndarray) -> np.ndarray:
+    """Pooled eigenvalues of H^H H / N over complex channels (..., N, K)."""
+    if hc.ndim < 2 or hc.size == 0:
+        raise ValueError("need at least one N x K channel realization")
+    g = np.swapaxes(hc.conj(), -1, -2) @ hc / hc.shape[-2]
+    return np.linalg.eigvalsh(g).ravel()
 
 
-def mp_distance(channels, alpha: float | None = None) -> float:
+def mp_distance(channels: np.ndarray, alpha: float | None = None) -> float:
     """Kolmogorov-Smirnov distance between pooled empirical eigenvalues of the
-    normalized complex Gram matrix and the Marchenko-Pastur CDF."""
-    if isinstance(channels, ComplexChannel):
-        channels = [channels]
-    if not channels:
-        raise ValueError("need at least one channel realization")
+    normalized complex Gram matrices of channels (..., N, K) and the
+    Marchenko-Pastur CDF."""
+    channels = np.asarray(channels)
+    eigs = np.sort(_normalized_eigs(channels))
     if alpha is None:
-        alpha = channels[0].n_users / channels[0].n_antennas
+        alpha = channels.shape[-1] / channels.shape[-2]
     _check_alpha(alpha)
-    eigs = np.sort(np.concatenate([_normalized_eigs(c) for c in channels]))
     n = eigs.size
     ref = mp_cdf(eigs, alpha)
     upper = np.arange(1, n + 1) / n - ref
@@ -151,16 +148,16 @@ def mp_distance(channels, alpha: float | None = None) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def eigenvalue_histogram(channels, bins: int = 40, alpha: float | None = None):
-    """Histogram of pooled normalized eigenvalues with the MP density overlay.
+def eigenvalue_histogram(channels: np.ndarray, bins: int = 40, alpha: float | None = None):
+    """Histogram of pooled normalized eigenvalues of channels (..., N, K) with
+    the MP density overlay.
 
     Returns (bin_centers, empirical_density, mp_density_values).
     """
-    if isinstance(channels, ComplexChannel):
-        channels = [channels]
+    channels = np.asarray(channels)
+    eigs = _normalized_eigs(channels)
     if alpha is None:
-        alpha = channels[0].n_users / channels[0].n_antennas
-    eigs = np.concatenate([_normalized_eigs(c) for c in channels])
+        alpha = channels.shape[-1] / channels.shape[-2]
     a, b = mp_support(alpha)
     lo = min(a, float(eigs.min()))
     hi = max(b, float(eigs.max()))

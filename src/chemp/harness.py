@@ -10,6 +10,7 @@ exhausted, whichever happens first.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -18,12 +19,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .baselines import map_oracle, mmse_detect
-from .estimate import (PilotObservation, estimate_gram, estimate_z,
-                       mmse_channel_estimate, pilot_amplitude)
+from .estimate import (gram_observation_from_pilots, mmse_channel_estimate,
+                       pilot_amplitude, receive_pilots)
 from .joint import JointConfig, bits_to_symbols, detect_then_decode, joint_detect_decode
 from .ldpc import TABLE_PROFILES, LdpcCode, build_code, encode, regular_profile
-from .model import modulate, noise_variance
-from .mpd import GramObservation, MpdConfig, hard_decision, matched_filter, mpd_detect
+from .model import draw_channels, modulate, noise_variance, real_stack
+from .mpd import MpdConfig, hard_decision, matched_filter, mpd_detect
 
 __all__ = [
     "UNCODED_RECEIVERS",
@@ -160,25 +161,6 @@ def _batch_rng(seed: int, point_idx: int, batch_idx: int) -> np.random.Generator
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(point_idx, batch_idx)))
 
 
-def _draw_channels(rng: np.random.Generator, b: int, n: int, k: int):
-    """B i.i.d. unit-variance complex channels and their real stackings."""
-    g = rng.standard_normal((b, n, k)) + 1j * rng.standard_normal((b, n, k))
-    hc = g / np.sqrt(2.0)
-    top = np.concatenate([hc.real, -hc.imag], axis=-1)
-    bot = np.concatenate([hc.imag, hc.real], axis=-1)
-    return hc, np.concatenate([top, bot], axis=-2)
-
-
-def _receive_pilot_block(rng, hc, amplitude, nv):
-    b, n, k = hc.shape
-    wc = (rng.standard_normal((b, n, k)) + 1j * rng.standard_normal((b, n, k))) * np.sqrt(nv)
-    ypc = amplitude * hc + wc
-    top = np.concatenate([ypc.real, -ypc.imag], axis=-1)
-    bot = np.concatenate([ypc.imag, ypc.real], axis=-1)
-    yp = np.concatenate([top, bot], axis=-2)
-    return PilotObservation(Y_p=yp[:, None], amplitude=amplitude, noise_var=nv)
-
-
 def _uncoded_batch(cfg: SimConfig, point_idx: int, batch_idx: int, n_trials: int):
     """One deterministic batch; returns (bits, errors, trials)."""
     rng = _batch_rng(cfg.seed, point_idx, batch_idx)
@@ -186,7 +168,8 @@ def _uncoded_batch(cfg: SimConfig, point_idx: int, batch_idx: int, n_trials: int
     m = 2 * k
     nv = noise_variance(cfg.snr_db[point_idx], k, cfg.symbol_energy)
     b = n_trials
-    hc, h = _draw_channels(rng, b, n, k)
+    hc = draw_channels(rng, n, k, b)
+    h = real_stack(hc)
 
     if cfg.receiver in ("mpd", "mmse", "map-oracle"):
         x = modulate(rng.integers(0, 2, size=(b, m)))
@@ -201,24 +184,21 @@ def _uncoded_batch(cfg: SimConfig, point_idx: int, batch_idx: int, n_trials: int
             xh = map_oracle(h, y)
         return b * m, int(np.sum(xh != x)), b
 
-    # pilot-estimated receivers: frames of K pilot uses + data uses
-    amp = pilot_amplitude(k, cfg.symbol_energy)
-    pilots = _receive_pilot_block(rng, hc, amp, nv)
+    # pilot-estimated receivers: frames of K pilot uses + data uses; the pilot
+    # block gets a use axis so its statistics broadcast over the data uses
+    pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k, cfg.symbol_energy))
     uses = cfg.frame_length - k
     x = modulate(rng.integers(0, 2, size=(b, uses, m)))
     w = rng.standard_normal((b, uses, 2 * n)) * np.sqrt(nv)
     y = np.einsum("bnm,bum->bun", h, x) + w
     if cfg.receiver == "chemp-estimated":
-        obs = GramObservation(J=estimate_gram(pilots), z=estimate_z(pilots, y),
-                              sigma_v_sq=nv / n)
-        xh = hard_decision(mpd_detect(obs, cfg.mpd))
+        xh = hard_decision(mpd_detect(gram_observation_from_pilots(pilots, y), cfg.mpd))
     else:
-        hhat = mmse_channel_estimate(pilots)  # (b, 1, 2n, 2k): broadcasts over uses
-        xh, _ = mmse_detect(hhat, y, nv)
+        xh, _ = mmse_detect(mmse_channel_estimate(pilots), y, nv)
     return b * uses * m, int(np.sum(xh != x)), b
 
 
-def _coded_batch(cfg: SimConfig, code: LdpcCode, point_idx: int, batch_idx: int,
+def _coded_batch(code: LdpcCode, cfg: SimConfig, point_idx: int, batch_idx: int,
                  n_trials: int):
     """One batch of coded frames; returns (bits, errors, frames, frame_errors)."""
     rng = _batch_rng(cfg.seed, point_idx, batch_idx)
@@ -229,16 +209,15 @@ def _coded_batch(cfg: SimConfig, code: LdpcCode, point_idx: int, batch_idx: int,
     info = rng.integers(0, 2, size=(b, k, code.k)).astype(np.uint8)
     cw = encode(code, info)
     x = bits_to_symbols(cw, k)
-    hc, h = _draw_channels(rng, b, n, k)
+    hc = draw_channels(rng, n, k, b)
+    h = real_stack(hc)
     w = rng.standard_normal((b, u, 2 * n)) * np.sqrt(nv)
     y = np.einsum("bnm,bum->bun", h, x) + w
     if cfg.csi == "perfect":
         obs = matched_filter(h[:, None], y, nv)
     else:
-        amp = pilot_amplitude(k, cfg.symbol_energy)
-        pilots = _receive_pilot_block(rng, hc, amp, nv)
-        obs = GramObservation(J=estimate_gram(pilots), z=estimate_z(pilots, y),
-                              sigma_v_sq=nv / n)
+        pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k, cfg.symbol_energy))
+        obs = gram_observation_from_pilots(pilots, y)
     if cfg.receiver == "joint":
         res = joint_detect_decode(obs, code, cfg.joint, cfg.mpd)
     else:
@@ -250,7 +229,11 @@ def _coded_batch(cfg: SimConfig, code: LdpcCode, point_idx: int, batch_idx: int,
 
 
 def _accumulate(cfg: SimConfig, point_idx: int, batch_fn, workers: int):
-    """Run batches in index order until the stopping rule fires."""
+    """Run batches in index order until the stopping rule fires.
+
+    `batch_fn(cfg, point_idx, batch_idx, n_trials)` must be picklable when
+    `workers > 1`.
+    """
     plan = []
     done = 0
     while done < cfg.max_trials:
@@ -336,51 +319,14 @@ def run_coded_sweep(cfg: SimConfig, workers: int = 1, code: LdpcCode | None = No
     if code is None:
         code = build_sweep_code(cfg)
 
-    def batch_fn(c, pi, bi, take):
-        return _coded_batch(c, code, pi, bi, take)
-
+    batch_fn = functools.partial(_coded_batch, code)
     points = []
     for pi, snr in enumerate(cfg.snr_db):
-        if workers > 1:
-            bits, errors, frames, fe = _accumulate_coded_parallel(cfg, code, pi, workers)
-        else:
-            bits, errors, frames, fe = _accumulate(cfg, pi, batch_fn, 1)
+        bits, errors, frames, fe = _accumulate(cfg, pi, batch_fn, workers)
         points.append(_make_point(snr, bits, errors, frames, frames, fe))
     extra = {"code": {"spec": cfg.code_spec, "n": code.n, "k": code.k,
                       "edges": int(code.n_edges)}}
     return BerCurve(receiver=cfg.receiver, points=points, provenance=_provenance(cfg, extra))
-
-
-def _coded_batch_star(args):
-    return _coded_batch(*args)
-
-
-def _accumulate_coded_parallel(cfg: SimConfig, code: LdpcCode, point_idx: int,
-                               workers: int):
-    plan = []
-    done = 0
-    while done < cfg.max_trials:
-        take = min(cfg.batch_size, cfg.max_trials - done)
-        plan.append((len(plan), take))
-        done += take
-    totals = None
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        pending = {}
-        next_submit = 0
-        next_collect = 0
-        while next_collect < len(plan):
-            while next_submit < len(plan) and next_submit - next_collect < 2 * workers:
-                bi, take = plan[next_submit]
-                pending[bi] = ex.submit(_coded_batch_star, (cfg, code, point_idx, bi, take))
-                next_submit += 1
-            part = pending.pop(next_collect).result()
-            totals = part if totals is None else tuple(a + b for a, b in zip(totals, part))
-            next_collect += 1
-            if totals[1] >= cfg.target_errors:
-                break
-        for fut in pending.values():
-            fut.cancel()
-    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ldpc import LdpcCode, bp_decode_batch, sum_product_kernel
-from .model import modulate
-from .mpd import GramObservation, MpdConfig, MpdEngine
+from .ldpc import LdpcCode, bp_decode_batch
+from .model import draw_channels, modulate, noise_variance, real_stack
+from .mpd import GramObservation, MpdConfig, MpdEngine, matched_filter, mpd_detect
 
 __all__ = [
     "JointConfig",
@@ -41,14 +41,15 @@ class JointConfig:
     """Outer schedule for the combined graph.
 
     One outer round = `detector_passes` detector message updates with the
-    code extrinsics held fixed, followed by a fresh decoder run of
-    `decoder_passes` flooding iterations seeded by the detector LLRs.
+    code extrinsics held fixed, followed by `decoder_passes` flooding
+    iterations on the new detector LLRs. The decoder's check-to-variable
+    messages persist across rounds. Damping and the LLR clip of the detector
+    updates come from `MpdConfig`.
     """
 
     outer_iterations: int = 20
     detector_passes: int = 1
     decoder_passes: int = 2
-    damping: float = 0.33
     extrinsic_clip: float = 50.0
 
     def __post_init__(self):
@@ -58,8 +59,6 @@ class JointConfig:
             raise ValueError("detector_passes must be positive")
         if self.decoder_passes < 0:
             raise ValueError("decoder_passes must be nonnegative")
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError("damping must lie in [0, 1)")
         if self.extrinsic_clip <= 0:
             raise ValueError("extrinsic_clip must be positive")
 
@@ -80,7 +79,7 @@ def _frame_shape(code: LdpcCode, n_users: int):
 
 
 def bits_to_symbols(bits: np.ndarray, n_users: int) -> np.ndarray:
-    """Map codeword bits (..., K, n) to transmit symbols (..., n/2, 2K).
+    """Map codeword bits (..., K, n) to sent symbols (..., n/2, 2K).
 
     Bit 2u of user j modulates the real component (column j) of use u,
     bit 2u+1 the imaginary component (column K+j).
@@ -135,12 +134,12 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
     positive favors bit 0 / symbol +1.
     """
     cfg = cfg or JointConfig()
-    mpd_cfg = mpd_cfg or MpdConfig(damping=cfg.damping)
+    mpd_cfg = mpd_cfg or MpdConfig()
     n_users = obs.z.shape[-1] // 2
     n_uses, _ = _frame_shape(code, n_users)
     _as_framed(obs, n_uses)
-    engine = MpdEngine(obs)
-    kern = sum_product_kernel(code)
+    engine = MpdEngine(obs, llr_clip=mpd_cfg.llr_clip)
+    kern = code.kernel
     lead = obs.z.shape[:-2]
     n_frames = int(np.prod(lead, dtype=int)) if lead else 1
 
@@ -152,7 +151,7 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
     rounds = 0
     for rounds in range(1, cfg.outer_iterations + 1):
         for _ in range(cfg.detector_passes):
-            det_llr, p = engine.step(p, cfg.damping, extrinsic_llr=ext_sym)
+            det_llr, p = engine.step(p, mpd_cfg.damping, extrinsic_llr=ext_sym)
         bit_llr = gather_bit_llrs(det_llr, n_users)
         flat = bit_llr.reshape(-1, code.n)
         c2v = kern.iterate(flat, c2v, cfg.decoder_passes)
@@ -182,8 +181,6 @@ def detect_then_decode(obs: GramObservation, code: LdpcCode,
                        mpd_cfg: MpdConfig | None = None,
                        decoder_iterations: int = 40) -> JointResult:
     """Baseline: run the detector to completion, then decode once per user."""
-    from .mpd import mpd_detect
-
     mpd_cfg = mpd_cfg or MpdConfig()
     n_users = obs.z.shape[-1] // 2
     n_uses, _ = _frame_shape(code, n_users)
@@ -271,9 +268,6 @@ def measure_exit_detector(n_antennas: int, n_users: int, snr_db: float,
     measures the extrinsic mutual information of its output LLRs by
     histogram. Returns an array aligned with `prior_info`.
     """
-    from .model import generate_channel, noise_variance, to_real
-    from .mpd import matched_filter
-
     mpd_cfg = mpd_cfg or MpdConfig()
     prior_info = np.atleast_1d(np.asarray(prior_info, dtype=float))
     nv = noise_variance(snr_db, n_users)
@@ -283,8 +277,7 @@ def measure_exit_detector(n_antennas: int, n_users: int, snr_db: float,
     grams = []
     xs = []
     for _ in range(n_channels):
-        ch = generate_channel(n_antennas, n_users, rng)
-        h = to_real(ch)
+        h = real_stack(draw_channels(rng, n_antennas, n_users))
         x = modulate(rng.integers(0, 2, size=(uses_per_channel, m)))
         w = rng.standard_normal((uses_per_channel, n_antennas * 2)) * np.sqrt(nv)
         y = x @ h.T + w
@@ -296,7 +289,7 @@ def measure_exit_detector(n_antennas: int, n_users: int, snr_db: float,
     gram = np.stack(grams)[:, None]       # (B, 1, 2K, 2K)
     x = np.stack(xs)
     obs = GramObservation(J=gram, z=z, sigma_v_sq=nv / n_antennas)
-    engine = MpdEngine(obs)
+    engine = MpdEngine(obs, llr_clip=mpd_cfg.llr_clip)
 
     out = np.empty(prior_info.shape)
     for ix, ia in enumerate(prior_info):

@@ -12,6 +12,7 @@ parallel edges by construction.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -29,7 +30,6 @@ __all__ = [
     "bp_decode",
     "bp_decode_batch",
     "SumProduct",
-    "sum_product_kernel",
     "check_message_probability",
     "check_message_llr",
     "write_alist",
@@ -155,6 +155,11 @@ class LdpcCode:
         s = self.syndrome(bits)
         ok = ~np.any(s, axis=-1)
         return bool(ok) if np.ndim(ok) == 0 else ok
+
+    @functools.cached_property
+    def kernel(self) -> "SumProduct":
+        """Sum-product kernel over this code's edge list, built on first use."""
+        return SumProduct(self)
 
 
 def _histogram(degs: np.ndarray) -> dict[int, int]:
@@ -429,20 +434,6 @@ class SumProduct:
         return c2v
 
 
-_KERNEL_CACHE: dict[int, SumProduct] = {}
-
-
-def sum_product_kernel(code: LdpcCode) -> SumProduct:
-    key = id(code)
-    kern = _KERNEL_CACHE.get(key)
-    if kern is None:
-        kern = SumProduct(code)
-        if len(_KERNEL_CACHE) > 8:
-            _KERNEL_CACHE.clear()
-        _KERNEL_CACHE[key] = kern
-    return kern
-
-
 def bp_decode_batch(code: LdpcCode, llrs: np.ndarray, max_iters: int = 50,
                     return_extrinsic: bool = False):
     """Flooding sum-product over a (B, n) batch of channel LLR vectors.
@@ -450,7 +441,7 @@ def bp_decode_batch(code: LdpcCode, llrs: np.ndarray, max_iters: int = 50,
     Positive LLR means bit 0. Stops once every row satisfies all checks;
     a clean input is recognized before any update (iterations = 0).
     """
-    kern = sum_product_kernel(code)
+    kern = code.kernel
     L = np.atleast_2d(np.asarray(llrs, dtype=float))
     bits = (L < 0).astype(np.uint8)
     ok = ~np.any(code.syndrome(bits), axis=-1)

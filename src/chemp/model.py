@@ -1,4 +1,4 @@
-"""Uplink system model: complex channel, real-valued stacking, QPSK transmission.
+"""Uplink system model: complex channel draws, real-valued stacking, QPSK mapping.
 
 K single-antenna users send to an N-antenna base station. The complex model
 y_c = H_c x_c + w_c is carried in an equivalent real form
@@ -12,135 +12,36 @@ the variance of each real noise component.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
-    "ComplexChannel",
-    "SnrSpec",
-    "RealSystemInstance",
-    "generate_channel",
-    "to_real",
-    "to_real_vec",
-    "to_complex_vec",
+    "draw_channels",
+    "real_stack",
     "noise_variance",
     "modulate",
-    "demodulate",
-    "transmit",
-    "simulate_transmission",
 ]
 
 
-@dataclass
-class ComplexChannel:
-    """One realization of the N x K complex gain matrix."""
+def draw_channels(rng: np.random.Generator, n: int, k: int, batch=()) -> np.ndarray:
+    """I.i.d. unit-variance complex Gaussian channels of shape batch + (N, K).
 
-    entries: np.ndarray
-    per_user_variance: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        self.per_user_variance = np.asarray(self.per_user_variance, dtype=float)
-        if self.entries.ndim != 2:
-            raise ValueError("channel entries must be an N x K matrix")
-        n, k = self.entries.shape
-        if self.per_user_variance.shape != (k,):
-            raise ValueError("per_user_variance must have one entry per user")
-        if np.any(self.per_user_variance <= 0):
-            raise ValueError("per-user variances must be positive")
-        if abs(self.per_user_variance.sum() - k) > 1e-9:
-            raise ValueError("per-user variances must sum to K")
-
-    @property
-    def n_antennas(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.entries.shape[1]
-
-
-@dataclass
-class SnrSpec:
-    """Average received SNR and the per-user complex symbol energy."""
-
-    snr_db: float
-    symbol_energy: float = 2.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
-        if not (np.isfinite(self.symbol_energy) and self.symbol_energy > 0):
-            raise ValueError("symbol_energy must be positive and finite")
-
-    @property
-    def snr_linear(self) -> float:
-        return 10.0 ** (self.snr_db / 10.0)
-
-    def noise_variance(self, n_users: int) -> float:
-        """Per-real-component noise variance realizing this average SNR."""
-        return noise_variance(self.snr_db, n_users, self.symbol_energy)
-
-
-@dataclass
-class RealSystemInstance:
-    """One transmission through the real-valued stacked system y = Hx + w."""
-
-    H: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    noise_var: float
-    n_antennas: int
-    n_users: int
-
-    def __post_init__(self):
-        two_n, two_k = self.H.shape
-        if two_n != 2 * self.n_antennas or two_k != 2 * self.n_users:
-            raise ValueError("H must be 2N x 2K")
-        if self.x.shape != (two_k,) or self.y.shape != (two_n,):
-            raise ValueError("x must be length 2K and y length 2N")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be nonnegative")
-
-
-def generate_channel(n_antennas: int, n_users: int, rng: np.random.Generator,
-                     per_user_variance=None) -> ComplexChannel:
-    """Draw i.i.d. complex Gaussian gains, column j with variance sigma_j^2.
-
+    `batch` is an int or a shape tuple; the default draws one N x K matrix.
     Loading factor K/N must not exceed 1.
     """
-    if n_users < 1 or n_antennas < 1:
+    if k < 1 or n < 1:
         raise ValueError("need at least one user and one antenna")
-    if n_users > n_antennas:
+    if k > n:
         raise ValueError("overloaded system (K > N) is not supported")
-    if per_user_variance is None:
-        per_user_variance = np.ones(n_users)
-    var = np.asarray(per_user_variance, dtype=float)
-    g = rng.standard_normal((n_antennas, n_users)) + 1j * rng.standard_normal((n_antennas, n_users))
-    entries = g * np.sqrt(var / 2.0)
-    return ComplexChannel(entries=entries, per_user_variance=var)
+    shape = ((batch,) if np.ndim(batch) == 0 else tuple(batch)) + (n, k)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return g / np.sqrt(2.0)
 
 
-def to_real(channel) -> np.ndarray:
-    """Real-valued stacking of a complex matrix: [[Re, -Im], [Im, Re]]."""
-    m = channel.entries if isinstance(channel, ComplexChannel) else np.asarray(channel)
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
-
-
-def to_real_vec(v: np.ndarray) -> np.ndarray:
-    """Stack a complex vector as [Re; Im]."""
-    v = np.asarray(v)
-    return np.concatenate([v.real, v.imag])
-
-
-def to_complex_vec(v: np.ndarray) -> np.ndarray:
-    """Inverse of to_real_vec."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] % 2:
-        raise ValueError("stacked vector must have even length")
-    half = v.shape[-1] // 2
-    return v[..., :half] + 1j * v[..., half:]
+def real_stack(m: np.ndarray) -> np.ndarray:
+    """Real-valued stacking [[Re, -Im], [Im, Re]] of complex (..., R, C) matrices."""
+    top = np.concatenate([m.real, -m.imag], axis=-1)
+    bot = np.concatenate([m.imag, m.real], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
 
 
 def noise_variance(snr_db: float, n_users: int, symbol_energy: float = 2.0) -> float:
@@ -154,31 +55,3 @@ def modulate(bits: np.ndarray) -> np.ndarray:
     if not np.isin(bits, (0, 1)).all():
         raise ValueError("bits must be 0 or 1")
     return 1.0 - 2.0 * bits.astype(float)
-
-
-def demodulate(x: np.ndarray) -> np.ndarray:
-    """Map antipodal components back to bits; nonnegative maps to 0."""
-    return (np.asarray(x) < 0).astype(np.uint8)
-
-
-def transmit(H: np.ndarray, x: np.ndarray, snr: SnrSpec, rng: np.random.Generator):
-    """Send x through the stacked channel at the given SNR.
-
-    Returns (y, noise_var). Each real noise component is N(0, noise_var).
-    """
-    H = np.asarray(H, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n_users = H.shape[-1] // 2
-    nv = snr.noise_variance(n_users)
-    w = rng.normal(0.0, np.sqrt(nv), size=H.shape[:-1])
-    y = H @ x + w
-    return y, nv
-
-
-def simulate_transmission(channel: ComplexChannel, x: np.ndarray, snr: SnrSpec,
-                          rng: np.random.Generator) -> RealSystemInstance:
-    """Build a full RealSystemInstance for one channel use."""
-    H = to_real(channel)
-    y, nv = transmit(H, x, snr, rng)
-    return RealSystemInstance(H=H, x=np.asarray(x, dtype=float), y=y, noise_var=nv,
-                              n_antennas=channel.n_antennas, n_users=channel.n_users)

@@ -21,9 +21,9 @@ from chemp import (
     bp_decode_batch,
     build_code,
     build_sweep_code,
+    draw_channels,
     encode,
     fixed_point_residuals,
-    generate_channel,
     gram,
     hard_decision,
     hardening_report,
@@ -38,7 +38,7 @@ from chemp import (
     count_operations,
     run_coded_sweep,
     run_uncoded_sweep,
-    to_real,
+    real_stack,
 )
 
 
@@ -74,7 +74,7 @@ def test_ac01_hardening_ratio():
     rng = np.random.default_rng(101)
 
     def mean_rms(n):
-        vals = [hardening_report(gram(to_real(generate_channel(n, n, rng)), n)).offdiag_rms
+        vals = [hardening_report(gram(real_stack(draw_channels(rng, n, n)), n)).offdiag_rms
                 for _ in range(100)]
         return float(np.mean(vals))
 
@@ -87,7 +87,7 @@ def test_ac01_hardening_ratio():
 
 def test_ac02_limiting_eigenvalue_law():
     rng = np.random.default_rng(102)
-    ks = mp_distance(generate_channel(256, 256, rng))
+    ks = mp_distance(draw_channels(rng, 256, 256))
     ok = ks < 0.05
     line = verdict(2, ok, f"KS distance to limiting law at N=K=256: {ks:.4f} < 0.05")
     assert ok, line
@@ -101,7 +101,7 @@ def test_ac03_map_agreement():
     nv = noise_variance(10.0, k)
     agree = 0
     for _ in range(trials // batch):
-        hs = np.stack([to_real(generate_channel(n, k, rng)) for _ in range(batch)])
+        hs = np.stack([real_stack(draw_channels(rng, n, k)) for _ in range(batch)])
         x = modulate(rng.integers(0, 2, size=(batch, 2 * k)))
         y = (hs @ x[..., None])[..., 0] + rng.normal(0, np.sqrt(nv), (batch, 2 * n))
         xh = hard_decision(mpd_detect(matched_filter(hs, y, nv, n), MpdConfig()))
@@ -151,7 +151,7 @@ def test_ac05_acceleration_iteration_count():
     fast_cfg = MpdConfig(track_history=True, aitken=True)
     plain, fast = [], []
     for _ in range(200):
-        H = to_real(generate_channel(n, k, rng))
+        H = real_stack(draw_channels(rng, n, k))
         x = modulate(rng.integers(0, 2, 2 * k))
         y = H @ x + rng.normal(0, np.sqrt(nv), 2 * n)
         plain.append(iters_to_tol(plain_cfg, H, y))
@@ -163,6 +163,7 @@ def test_ac05_acceleration_iteration_count():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_ac06_detector_vs_linear_baseline():
     # N=128, K=64: at the SNR where the linear receiver reaches BER 1e-3,
     # the message passing detector is at least 3x lower, >= 100 errors/point
@@ -204,7 +205,7 @@ def test_ac07_near_single_user_performance():
 def test_ac08_pilot_estimation_fidelity():
     # (a) the bias-corrected Gram estimate is unbiased: over 1e3 pilot draws
     # the mean estimate matches the mean true Gram to < 5% relative Frobenius
-    from chemp import estimate_gram, receive_pilots
+    from chemp import estimate_gram, pilot_amplitude, receive_pilots
 
     rng = np.random.default_rng(108)
     n = k = 64
@@ -212,10 +213,10 @@ def test_ac08_pilot_estimation_fidelity():
     sum_est = np.zeros((2 * k, 2 * k))
     sum_true = np.zeros((2 * k, 2 * k))
     for _ in range(1000):
-        ch = generate_channel(n, k, rng)
-        H = to_real(ch)
+        hc = draw_channels(rng, n, k)
+        H = real_stack(hc)
         sum_true += H.T @ H / n
-        sum_est += estimate_gram(receive_pilots(ch, nv, rng))
+        sum_est += estimate_gram(receive_pilots(rng, hc, nv, pilot_amplitude(k)))
     rel = np.linalg.norm(sum_est - sum_true) / np.linalg.norm(sum_true)
 
     # (b) the Gram-domain receiver with estimated (J, z) beats the linear
@@ -267,6 +268,7 @@ def test_ac10_operation_counts():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_ac11_code_construction_at_scale():
     profile = TABLE_PROFILES["n128-alpha1"]
     n = 4000
@@ -308,6 +310,7 @@ def coded_cfg(receiver, code_spec, snrs, seed, frames=50, joint=None):
     )
 
 
+@pytest.mark.slow
 def test_ac12_joint_gain_and_noiseless_recovery():
     # equal iteration budget: joint 20 x (1 detector + 2 decoder) = 60 vs
     # separate 20 detector + 40 decoder = 60; joint no worse at every point
@@ -325,7 +328,7 @@ def test_ac12_joint_gain_and_noiseless_recovery():
     info = rng.integers(0, 2, size=(k, code.k))
     words = encode(code, info)
     x = bits_to_symbols(words, k)
-    H = to_real(generate_channel(32, k, rng))
+    H = real_stack(draw_channels(rng, 32, k))
     nv = noise_variance(300.0, k)
     y = x @ H.T
     obs = matched_filter(H[None], y, nv, 32)
@@ -341,6 +344,7 @@ def test_ac12_joint_gain_and_noiseless_recovery():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_ac13_optimized_vs_regular_code():
     # identical pipeline, both codes at n=1000, N=K=32: the optimized profile
     # is required to reach BER 1e-3 at least 0.3 dB before the regular code

@@ -6,15 +6,15 @@ import pytest
 from chemp import (
     MpdConfig,
     convergence_condition,
+    draw_channels,
     fixed_point_residuals,
-    generate_channel,
     llr_mse_bound,
     llr_mse_empirical,
     matched_filter,
     modulate,
     mpd_detect,
     noise_variance,
-    to_real,
+    real_stack,
 )
 
 
@@ -34,14 +34,14 @@ def test_convergence_condition_constructed():
 
 def test_convergence_condition_hardening_improves_with_antennas(rng):
     def frac(n, k):
-        H = to_real(generate_channel(n, k, rng))
+        H = real_stack(draw_channels(rng, n, k))
         return convergence_condition(H.T @ H / n).diagonal_dominance_fraction
 
     assert frac(256, 32) >= frac(32, 32)
 
 
 def test_fixed_point_residuals_decrease(rng):
-    H = to_real(generate_channel(64, 16, rng))
+    H = real_stack(draw_channels(rng, 64, 16))
     x = modulate(rng.integers(0, 2, 32))
     nv = noise_variance(12.0, 16)
     y = H @ x + rng.normal(0, np.sqrt(nv), 128)
@@ -54,7 +54,7 @@ def test_fixed_point_residuals_decrease(rng):
 
 
 def test_fixed_point_residuals_requires_history(rng):
-    H = to_real(generate_channel(16, 4, rng))
+    H = real_stack(draw_channels(rng, 16, 4))
     y = rng.standard_normal(32)
     state = mpd_detect(matched_filter(H, y, 0.5, 16), MpdConfig(iterations=5))
     with pytest.raises(ValueError):

@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 
 from chemp import (
-    generate_channel,
+    draw_channels,
     map_oracle,
     mmse_detect,
     modulate,
     noise_variance,
     qfunc,
+    real_stack,
     siso_awgn_ber,
-    to_real,
 )
 
 
 def test_mmse_noiseless_recovery(rng):
-    H = to_real(generate_channel(32, 8, rng))
+    H = real_stack(draw_channels(rng, 32, 8))
     x = modulate(rng.integers(0, 2, 16))
     xhat, s = mmse_detect(H, H @ x, 1e-12)
     np.testing.assert_array_equal(xhat, x)
@@ -26,7 +26,7 @@ def test_mmse_noiseless_recovery(rng):
 
 
 def test_mmse_batched_matches_loop(rng):
-    Hs = np.stack([to_real(generate_channel(16, 4, rng)) for _ in range(6)])
+    Hs = np.stack([real_stack(draw_channels(rng, 16, 4)) for _ in range(6)])
     ys = rng.standard_normal((6, 32))
     xb, sb = mmse_detect(Hs, ys, 0.7)
     for i in range(6):
@@ -36,7 +36,7 @@ def test_mmse_batched_matches_loop(rng):
 
 
 def test_mmse_regularization_shrinks_estimate(rng):
-    H = to_real(generate_channel(16, 8, rng))
+    H = real_stack(draw_channels(rng, 16, 8))
     y = rng.standard_normal(32)
     _, s_small = mmse_detect(H, y, 1e-9)
     _, s_large = mmse_detect(H, y, 100.0)
@@ -44,7 +44,7 @@ def test_mmse_regularization_shrinks_estimate(rng):
 
 
 def test_map_oracle_matches_enumeration(rng):
-    H = to_real(generate_channel(8, 2, rng))
+    H = real_stack(draw_channels(rng, 8, 2))
     nv = noise_variance(6.0, 2)
     x = modulate(rng.integers(0, 2, 4))
     y = H @ x + rng.normal(0, np.sqrt(nv), 16)
@@ -57,7 +57,7 @@ def test_map_oracle_matches_enumeration(rng):
 
 
 def test_map_oracle_batched(rng):
-    Hs = np.stack([to_real(generate_channel(8, 2, rng)) for _ in range(4)])
+    Hs = np.stack([real_stack(draw_channels(rng, 8, 2)) for _ in range(4)])
     ys = rng.standard_normal((4, 16))
     out = map_oracle(Hs, ys)
     assert out.shape == (4, 4)
@@ -66,13 +66,13 @@ def test_map_oracle_batched(rng):
 
 
 def test_map_oracle_size_guard(rng):
-    H = to_real(generate_channel(16, 9, rng))
+    H = real_stack(draw_channels(rng, 16, 9))
     with pytest.raises(ValueError):
         map_oracle(H, np.zeros(32))
 
 
 def test_map_oracle_noiseless_exact(rng):
-    H = to_real(generate_channel(8, 4, rng))
+    H = real_stack(draw_channels(rng, 8, 4))
     x = modulate(rng.integers(0, 2, 8))
     np.testing.assert_array_equal(map_oracle(H, H @ x), x)
 

@@ -5,17 +5,17 @@ import pytest
 
 from chemp import (
     PilotObservation,
+    draw_channels,
     estimate_gram,
     estimate_z,
-    generate_channel,
     gram_observation_from_pilots,
     matched_filter,
     mmse_channel_estimate,
     modulate,
     noise_variance,
     pilot_amplitude,
+    real_stack,
     receive_pilots,
-    to_real,
 )
 
 
@@ -34,17 +34,19 @@ def test_pilot_observation_validation():
 
 
 def test_receive_pilots_shape_and_scaling(rng):
-    ch = generate_channel(16, 8, rng)
-    pilots = receive_pilots(ch, 1e-12, rng)
+    hc = draw_channels(rng, 16, 8)
+    pilots = receive_pilots(rng, hc, 1e-12, pilot_amplitude(8))
     assert pilots.Y_p.shape == (32, 16)
     assert pilots.n_antennas == 16
-    np.testing.assert_allclose(pilots.Y_p, pilots.amplitude * to_real(ch), atol=1e-4)
+    np.testing.assert_allclose(pilots.Y_p, pilots.amplitude * real_stack(hc), atol=1e-4)
+    batch = receive_pilots(rng, draw_channels(rng, 16, 8, (3, 1)), 0.1, 2.0)
+    assert batch.Y_p.shape == (3, 1, 32, 16)
 
 
 def test_gram_estimate_noiseless_exact(rng):
-    ch = generate_channel(32, 16, rng)
-    pilots = receive_pilots(ch, 1e-14, rng)
-    H = to_real(ch)
+    hc = draw_channels(rng, 32, 16)
+    pilots = receive_pilots(rng, hc, 1e-14, pilot_amplitude(16))
+    H = real_stack(hc)
     np.testing.assert_allclose(estimate_gram(pilots), H.T @ H / 32, atol=1e-5)
 
 
@@ -53,10 +55,10 @@ def test_gram_estimate_bias_correction(rng):
     nv = noise_variance(8.0, 16)
     diffs_raw, diffs_cor = [], []
     for _ in range(100):
-        ch = generate_channel(32, 16, rng)
-        H = to_real(ch)
+        hc = draw_channels(rng, 32, 16)
+        H = real_stack(hc)
         true_diag = np.diagonal(H.T @ H / 32)
-        pilots = receive_pilots(ch, nv, rng)
+        pilots = receive_pilots(rng, hc, nv, pilot_amplitude(16))
         diffs_raw.append(np.mean(np.diagonal(
             estimate_gram(pilots, subtract_bias=False)) - true_diag))
         diffs_cor.append(np.mean(np.diagonal(estimate_gram(pilots)) - true_diag))
@@ -65,21 +67,21 @@ def test_gram_estimate_bias_correction(rng):
 
 
 def test_z_estimate_noiseless_exact(rng):
-    ch = generate_channel(32, 8, rng)
-    H = to_real(ch)
+    hc = draw_channels(rng, 32, 8)
+    H = real_stack(hc)
     x = modulate(rng.integers(0, 2, 16))
     y = H @ x
-    pilots = receive_pilots(ch, 1e-14, rng)
+    pilots = receive_pilots(rng, hc, 1e-14, pilot_amplitude(8))
     np.testing.assert_allclose(estimate_z(pilots, y), H.T @ y / 32, atol=1e-5)
 
 
 def test_observation_assembly_matches_perfect_csi_in_noiseless_limit(rng):
-    ch = generate_channel(32, 8, rng)
-    H = to_real(ch)
+    hc = draw_channels(rng, 32, 8)
+    H = real_stack(hc)
     x = modulate(rng.integers(0, 2, 16))
     nv = 1e-12
     y = H @ x
-    obs_est = gram_observation_from_pilots(receive_pilots(ch, nv, rng), y)
+    obs_est = gram_observation_from_pilots(receive_pilots(rng, hc, nv, pilot_amplitude(8)), y)
     obs_true = matched_filter(H, y, nv, 32)
     np.testing.assert_allclose(obs_est.J, obs_true.J, atol=1e-4)
     np.testing.assert_allclose(obs_est.z, obs_true.z, atol=1e-4)
@@ -88,27 +90,20 @@ def test_observation_assembly_matches_perfect_csi_in_noiseless_limit(rng):
 
 def test_estimate_batched_shapes(rng):
     nv = noise_variance(10.0, 4)
-    blocks = []
-    ys = []
-    for _ in range(3):
-        ch = generate_channel(8, 4, rng)
-        blocks.append(receive_pilots(ch, nv, rng).Y_p)
-        ys.append(rng.standard_normal(16))
-    pilots = PilotObservation(Y_p=np.stack(blocks), amplitude=pilot_amplitude(4),
-                              noise_var=nv)
+    pilots = receive_pilots(rng, draw_channels(rng, 8, 4, 3), nv, pilot_amplitude(4))
+    ys = rng.standard_normal((3, 16))
     jb = estimate_gram(pilots)
-    zb = estimate_z(pilots, np.stack(ys))
+    zb = estimate_z(pilots, ys)
     assert jb.shape == (3, 8, 8)
     assert zb.shape == (3, 8)
-    single = PilotObservation(Y_p=blocks[1], amplitude=pilot_amplitude(4), noise_var=nv)
+    single = PilotObservation(Y_p=pilots.Y_p[1], amplitude=pilot_amplitude(4), noise_var=nv)
     np.testing.assert_allclose(jb[1], estimate_gram(single), atol=1e-12)
     np.testing.assert_allclose(zb[1], estimate_z(single, ys[1]), atol=1e-12)
 
 
 def test_mmse_channel_estimate_shrinks(rng):
-    ch = generate_channel(16, 8, rng)
     nv = 2.0
-    pilots = receive_pilots(ch, nv, rng)
+    pilots = receive_pilots(rng, draw_channels(rng, 16, 8), nv, pilot_amplitude(8))
     hhat = mmse_channel_estimate(pilots)
     ls = pilots.Y_p / pilots.amplitude
     assert np.linalg.norm(hhat) < np.linalg.norm(ls)
@@ -118,6 +113,6 @@ def test_mmse_channel_estimate_shrinks(rng):
 
 
 def test_mmse_channel_estimate_noiseless_is_truth(rng):
-    ch = generate_channel(16, 8, rng)
-    pilots = receive_pilots(ch, 1e-14, rng)
-    np.testing.assert_allclose(mmse_channel_estimate(pilots), to_real(ch), atol=1e-5)
+    hc = draw_channels(rng, 16, 8)
+    pilots = receive_pilots(rng, hc, 1e-14, pilot_amplitude(8))
+    np.testing.assert_allclose(mmse_channel_estimate(pilots), real_stack(hc), atol=1e-5)

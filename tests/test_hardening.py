@@ -5,20 +5,20 @@ import pytest
 
 from chemp import (
     GramMatrix,
+    draw_channels,
     eigenvalue_histogram,
-    generate_channel,
     gram,
     hardening_report,
     mp_cdf,
     mp_density,
     mp_distance,
     mp_support,
-    to_real,
+    real_stack,
 )
 
 
 def make_gram(n, k, rng):
-    return gram(to_real(generate_channel(n, k, rng)), n)
+    return gram(real_stack(draw_channels(rng, n, k)), n)
 
 
 def test_gram_is_symmetric_unit_diagonal(rng):
@@ -98,20 +98,20 @@ def test_mp_cdf_monotone_and_normalized(alpha):
 
 
 def test_mp_distance_shrinks_with_size(rng):
-    small = mp_distance(generate_channel(32, 32, rng))
-    large = mp_distance(generate_channel(256, 256, rng))
+    small = mp_distance(draw_channels(rng, 32, 32))
+    large = mp_distance(draw_channels(rng, 256, 256))
     assert large < small
     assert large < 0.08
 
 
 def test_mp_distance_accepts_channel_list(rng):
-    chans = [generate_channel(64, 64, rng) for _ in range(4)]
+    chans = [draw_channels(rng, 64, 64) for _ in range(4)]
     d = mp_distance(chans)
     assert 0 <= d < 0.15
 
 
 def test_eigenvalue_histogram_output(rng):
-    centers, emp, ref = eigenvalue_histogram(generate_channel(128, 128, rng), bins=30)
+    centers, emp, ref = eigenvalue_histogram(draw_channels(rng, 128, 128), bins=30)
     assert centers.shape == emp.shape == ref.shape == (30,)
     width = centers[1] - centers[0]
     assert np.sum(emp) * width == pytest.approx(1.0, abs=0.05)

@@ -208,6 +208,42 @@ def test_coded_sweep_estimated_csi_runs():
     assert curve.points[0].frames == 10
 
 
+# ---------------------------------------------------------------------------
+# bit-for-bit guard: (bits, errors, frame_errors, trials) per SNR point of one
+# small seeded sweep per receiver, recorded before the batched channel/pilot
+# path was merged. A refactor that keeps the maths must reproduce them exactly.
+
+GUARD = {
+    ("mpd", None): [(2560, 62, None, 160), (4800, 5, None, 300)],
+    ("mmse", None): [(1920, 71, None, 120), (4800, 22, None, 300)],
+    ("chemp-estimated", None): [(5120, 589, None, 40), (5120, 81, None, 40)],
+    ("mmse-estimated", None): [(5120, 590, None, 40), (5120, 156, None, 40)],
+    ("map-oracle", None): [(2400, 56, None, 300), (2400, 1, None, 300)],
+    ("joint", "perfect"): [(4608, 20, 6, 24), (4608, 0, 0, 24)],
+    ("joint", "estimated"): [(1152, 130, 6, 6), (3456, 58, 12, 18)],
+    ("separate", "perfect"): [(4608, 26, 7, 24), (4608, 0, 0, 24)],
+    ("separate", "estimated"): [(1152, 169, 6, 6), (1152, 50, 5, 6)],
+}
+
+
+@pytest.mark.parametrize("receiver,csi", list(GUARD))
+def test_sweeps_reproduce_recorded_counts(receiver, csi):
+    if csi is None:
+        small = receiver == "map-oracle"
+        cfg = SimConfig(n_antennas=8 if small else 16, n_users=4 if small else 8,
+                        snr_db=(4.0, 8.0), receiver=receiver, seed=2024,
+                        target_errors=60, max_trials=300, batch_size=40)
+        curve = run_uncoded_sweep(cfg)
+    else:
+        cfg = SimConfig(n_antennas=16, n_users=8, snr_db=(2.0, 5.0), receiver=receiver,
+                        code_spec="regular-3-6", block_length=48, seed=2024, csi=csi,
+                        target_errors=40, max_trials=24, batch_size=6,
+                        joint=JointConfig(outer_iterations=6))
+        curve = run_coded_sweep(cfg)
+    got = [(p.bits, p.errors, p.frame_errors, p.trials) for p in curve.points]
+    assert got == GUARD[(receiver, csi)]
+
+
 def test_build_sweep_code_deterministic():
     a = build_sweep_code(coded_cfg())
     b = build_sweep_code(coded_cfg())

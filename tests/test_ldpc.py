@@ -16,7 +16,6 @@ from chemp import (
     encode,
     read_alist,
     regular_profile,
-    sum_product_kernel,
     write_alist,
 )
 
@@ -232,7 +231,7 @@ def test_check_message_conventions_agree(rng):
 
 def test_check_update_leave_one_out():
     code = code_from_parity_check(np.array([[1, 1, 1]], dtype=np.uint8))
-    kern = sum_product_kernel(code)
+    kern = code.kernel
     v2c = np.array([[0.8, -1.3, 2.1]])
     out = kern.check_update(v2c)
 
@@ -247,7 +246,7 @@ def test_check_update_leave_one_out():
 def test_var_update_excludes_own_message():
     h = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
     code = code_from_parity_check(h)
-    kern = sum_product_kernel(code)
+    kern = code.kernel
     llrs = np.array([[0.5, -0.2, 1.0]])
     c2v = np.array([[0.3, 0.7, -0.4, 0.1]])  # edges sorted by (check, variable)
     out = kern.var_update(llrs, c2v)
@@ -259,11 +258,23 @@ def test_var_update_excludes_own_message():
 
 
 def test_fresh_messages_shape(small_regular):
-    kern = sum_product_kernel(small_regular)
+    kern = small_regular.kernel
     msgs = kern.fresh_messages(5)
     assert msgs.shape == (5, small_regular.n_edges)
     assert not msgs.any()
 
 
 def test_kernel_cache_reuses_instance(small_regular):
-    assert sum_product_kernel(small_regular) is sum_product_kernel(small_regular)
+    assert small_regular.kernel is small_regular.kernel
+
+
+def test_kernel_belongs_to_its_code():
+    # a freed code's id is reused by the next code built; the kernel fetched
+    # for the new code must still be built from the new code's own graph
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        code = code_from_parity_check(rng.integers(0, 2, size=(6, 12), dtype=np.uint8))
+        kern = code.kernel
+        assert np.array_equal(kern.edge_var, code.edge_var)
+        assert np.array_equal(kern.edge_chk, code.edge_chk)
+        del code, kern

@@ -10,18 +10,18 @@ from chemp import (
     MpdConfig,
     MpdEngine,
     aitken_step,
-    generate_channel,
+    draw_channels,
     hard_decision,
     matched_filter,
     modulate,
     mpd_detect,
     noise_variance,
-    to_real,
+    real_stack,
 )
 
 
 def observation(n, k, snr_db, rng, x=None):
-    H = to_real(generate_channel(n, k, rng))
+    H = real_stack(draw_channels(rng, n, k))
     if x is None:
         x = modulate(rng.integers(0, 2, 2 * k))
     nv = noise_variance(snr_db, k)
@@ -38,7 +38,7 @@ def test_matched_filter_fields(rng):
 
 
 def test_matched_filter_default_antenna_count(rng):
-    H = to_real(generate_channel(16, 8, rng))
+    H = real_stack(draw_channels(rng, 16, 8))
     y = rng.standard_normal(32)
     a = matched_filter(H, y, 0.5)
     b = matched_filter(H, y, 0.5, 16)
@@ -47,7 +47,7 @@ def test_matched_filter_default_antenna_count(rng):
 
 
 def test_matched_filter_batched(rng):
-    Hs = np.stack([to_real(generate_channel(16, 8, rng)) for _ in range(5)])
+    Hs = np.stack([real_stack(draw_channels(rng, 16, 8)) for _ in range(5)])
     ys = rng.standard_normal((5, 32))
     obs = matched_filter(Hs, ys, 0.3, 16)
     assert obs.J.shape == (5, 16, 16)
@@ -114,7 +114,7 @@ def test_uniform_beliefs_shape(rng):
 
 def test_engine_batched_uses(rng):
     # one Gram matrix shared by several filtered observations
-    H = to_real(generate_channel(16, 4, rng))
+    H = real_stack(draw_channels(rng, 16, 4))
     nv = noise_variance(8.0, 4)
     xs = modulate(rng.integers(0, 2, (3, 8)))
     ys = np.stack([H @ x + rng.normal(0, np.sqrt(nv), 32) for x in xs])
