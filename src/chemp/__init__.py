@@ -26,11 +26,9 @@ from .joint import (JointConfig, JointResult, bits_to_symbols,
                     detect_then_decode, gather_bit_llrs, j_function,
                     j_inverse, joint_detect_decode, measure_exit_detector,
                     mutual_information_histogram, scatter_bit_llrs)
-from .ldpc import (TABLE_PROFILES, DecodeResult, DegreeProfile, LdpcCode,
-                   SumProduct, bp_decode, bp_decode_batch, build_code,
-                   check_message_llr, check_message_probability,
-                   code_from_parity_check, encode, read_alist,
-                   regular_profile, write_alist)
+from .ldpc import (TABLE_PROFILES, DegreeProfile, LdpcCode, SumProduct,
+                   bp_decode_batch, build_code, code_from_parity_check,
+                   encode, read_alist, regular_profile, write_alist)
 from .model import draw_channels, modulate, noise_variance, real_stack
 from .mpd import (BeliefState, GramObservation, MpdConfig, MpdEngine,
                   aitken_step, hard_decision, matched_filter, mpd_detect)

@@ -22,16 +22,12 @@ from scipy import sparse
 __all__ = [
     "DegreeProfile",
     "LdpcCode",
-    "DecodeResult",
     "TABLE_PROFILES",
     "regular_profile",
     "build_code",
     "encode",
-    "bp_decode",
     "bp_decode_batch",
     "SumProduct",
-    "check_message_probability",
-    "check_message_llr",
     "write_alist",
     "read_alist",
     "code_from_parity_check",
@@ -360,71 +356,71 @@ def encode(code: LdpcCode, info_bits: np.ndarray) -> np.ndarray:
 # sum-product decoding
 
 
-@dataclass
-class DecodeResult:
-    bits: np.ndarray
-    success: np.ndarray | bool
-    iterations: int
-
-
-def check_message_probability(p: np.ndarray) -> float:
-    """Probability the XOR of independent bits with P(1)=p_j is 0."""
-    p = np.asarray(p, dtype=float)
-    return float((1.0 + np.prod(1.0 - 2.0 * p)) / 2.0)
-
-
-def check_message_llr(llrs: np.ndarray) -> float:
-    """Equivalent LLR-domain combination 2 atanh(prod tanh(L/2))."""
-    t = np.prod(np.tanh(np.asarray(llrs, dtype=float) / 2.0))
-    t = np.clip(t, -1.0 + 1e-15, 1.0 - 1e-15)
-    return float(2.0 * np.arctanh(t))
-
-
 class SumProduct:
-    """Flooding sum-product kernel over a code's edge list, batch-first.
+    """Flooding sum-product kernel over a code's edge list, batch-last.
 
-    Messages are explicit (B, n_edges) arrays so an outer receiver loop can
-    keep decoder state alive across its own iterations while the channel
-    LLRs it supplies keep improving.
+    Messages are explicit (n_edges, B) arrays, one row per edge and one
+    column per frame, so an outer receiver loop can keep decoder state alive
+    across its own iterations while the channel LLRs it supplies keep
+    improving. Rows are grouped by check degree: the checks of degree d own
+    one contiguous block of d * count rows, read as a (d, count, B) array
+    whose slot j holds each check's j-th edge in the code's edge order. Row
+    r carries code edge `order[r]`, on variable `edge_var[r]`.
+
+    Check sums add slot by slot and variable sums in check order, so every
+    sum runs in the code's edge order.
     """
 
     def __init__(self, code: LdpcCode):
         e = code.n_edges
-        ones = np.ones(e)
-        self.to_chk = sparse.csr_matrix((ones, (code.edge_chk, np.arange(e))),
-                                        shape=(code.m, e))
-        self.to_var = sparse.csr_matrix((ones, (code.edge_var, np.arange(e))),
-                                        shape=(code.n, e))
-        self.edge_var = code.edge_var
-        self.edge_chk = code.edge_chk
+        chk_deg = np.bincount(code.edge_chk, minlength=code.m)
+        deg = chk_deg[code.edge_chk]
+        slot = np.arange(e) - (np.cumsum(chk_deg) - chk_deg)[code.edge_chk]
+        self.order = np.lexsort((code.edge_chk, slot, deg))  # by degree, slot, check
+        degs, rows = np.unique(deg, return_counts=True)
+        # (first row, end row, degree) of each degree's block
+        self.blocks = [(hi - r, hi, d) for d, r, hi in zip(degs, rows, np.cumsum(rows))]
+        self.edge_var = code.edge_var[self.order]
+        # explicit indptr/indices: scipy keeps each variable's edges in check order
+        by_var = np.argsort(self.order)[np.argsort(code.edge_var, kind="stable")]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(code.edge_var, minlength=code.n))))
+        self.to_var = sparse.csr_matrix((np.ones(e), by_var, indptr), shape=(code.n, e))
 
     def fresh_messages(self, batch: int) -> np.ndarray:
         """Zero check-to-variable messages for a batch of frames."""
-        return np.zeros((batch, self.edge_var.size))
+        return np.zeros((self.order.size, batch))
 
     def check_update(self, v2c: np.ndarray) -> np.ndarray:
         """Leave-one-out tanh-product combination at every check node."""
-        t = np.tanh(np.clip(v2c, -40.0, 40.0) / 2.0)
-        mag = np.abs(t)
-        np.clip(mag, 1e-30, 1.0 - 1e-15, out=mag)
-        log_mag = np.log(mag)
-        neg = (t < 0).astype(np.float64)
-        log_sum = (self.to_chk @ log_mag.T).T
-        neg_sum = (self.to_chk @ neg.T).T
-        lo_log = log_sum[:, self.edge_chk] - log_mag
-        lo_neg = np.rint(neg_sum[:, self.edge_chk] - neg).astype(np.int64)
-        prod = np.exp(np.minimum(lo_log, 0.0))
-        np.clip(prod, None, 1.0 - 1e-15, out=prod)
-        return np.where(lo_neg % 2 == 0, 1.0, -1.0) * 2.0 * np.arctanh(prod)
+        x = np.clip(v2c, -40.0, 40.0)
+        x /= 2.0
+        np.tanh(x, out=x)
+        neg = x < 0
+        np.abs(x, out=x)
+        np.clip(x, 1e-30, 1.0 - 1e-15, out=x)
+        np.log(x, out=x)
+        for lo, hi, d in self.blocks:
+            log_mag = x[lo:hi].reshape(d, -1, x.shape[1])
+            np.subtract(log_mag.sum(axis=0), log_mag, out=log_mag)
+            odd = neg[lo:hi].reshape(log_mag.shape)
+            np.logical_xor(np.logical_xor.reduce(odd, axis=0), odd, out=odd)
+        np.minimum(x, 0.0, out=x)
+        np.exp(x, out=x)
+        np.minimum(x, 1.0 - 1e-15, out=x)
+        np.arctanh(x, out=x)
+        x *= 2.0
+        # branch-free: x >= 0 takes the sign of +-0.5
+        return np.copysign(x, np.subtract(0.5, neg), out=x)
 
     def var_update(self, llrs: np.ndarray, c2v: np.ndarray) -> np.ndarray:
-        """Variable-to-check messages from channel LLRs and incoming messages."""
-        ext = self.extrinsic(c2v)
-        return (llrs + ext)[:, self.edge_var] - c2v
+        """Variable-to-check messages from (B, n) channel LLRs and incoming messages."""
+        total = self.extrinsic(c2v).T
+        total += llrs.T
+        return total[self.edge_var] - c2v
 
     def extrinsic(self, c2v: np.ndarray) -> np.ndarray:
-        """Per-variable sum of incoming check messages."""
-        return (self.to_var @ c2v.T).T
+        """Per-variable sum of incoming check messages, (B, n)."""
+        return (self.to_var @ c2v).T
 
     def iterate(self, llrs: np.ndarray, c2v: np.ndarray, n_iters: int) -> np.ndarray:
         """n_iters flooding iterations continuing from the given messages."""
@@ -466,16 +462,6 @@ def _finish(bits, ok, it, ext, return_extrinsic):
     if return_extrinsic:
         return bits, ok, it, ext
     return bits, ok, it
-
-
-def bp_decode(code: LdpcCode, llrs: np.ndarray, max_iters: int = 50) -> DecodeResult:
-    """Decode one LLR vector (or a batch) with early exit on satisfied checks."""
-    arr = np.asarray(llrs, dtype=float)
-    single = arr.ndim == 1
-    bits, ok, it = bp_decode_batch(code, arr, max_iters)
-    if single:
-        return DecodeResult(bits=bits[0], success=bool(ok[0]), iterations=it)
-    return DecodeResult(bits=bits, success=ok, iterations=it)
 
 
 # ---------------------------------------------------------------------------

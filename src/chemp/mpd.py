@@ -125,6 +125,11 @@ class MpdEngine:
 
     Splitting precomputation from stepping lets the coded receiver drive the
     schedule one update at a time with external symbol priors.
+
+    `off` and `off_sq` hold J and J**2 with zeroed diagonals, shaped like J.
+    When one Gram serves a use axis of z (J shaped (..., 1, M, M) or (M, M),
+    z shaped (..., U, M)), each step forms mu and var for all U uses as one
+    matrix product per Gram; otherwise as one matrix-vector product per use.
     """
 
     def __init__(self, obs: GramObservation, llr_clip: float = 50.0):
@@ -148,8 +153,16 @@ class MpdEngine:
     def llr(self, p: np.ndarray) -> np.ndarray:
         """Extrinsic LLR of every symbol given the others' beliefs."""
         s = 2.0 * p - 1.0
-        mu = (self.off @ s[..., None])[..., 0]
-        var = (self.off_sq @ (4.0 * p * (1.0 - p))[..., None])[..., 0] + self.sigma_v_sq
+        q = 4.0 * p * (1.0 - p)
+        off, off_sq = self.off, self.off_sq
+        if p.ndim >= 2 and (off.ndim == 2 or off.shape[-3] == 1):
+            # one Gram serves p's use axis: drop J's unit use axis, then (U, M) @ off^T
+            gram = off.shape[:-3] + off.shape[-2:]
+            mu = s @ np.swapaxes(off.reshape(gram), -1, -2)
+            var = q @ np.swapaxes(off_sq.reshape(gram), -1, -2) + self.sigma_v_sq
+        else:
+            mu = (off @ s[..., None])[..., 0]
+            var = (off_sq @ q[..., None])[..., 0] + self.sigma_v_sq
         L = 2.0 * self.diag * (self.z - mu) / var
         return np.clip(L, -self.llr_clip, self.llr_clip)
 

@@ -7,11 +7,8 @@ from scipy import sparse
 from chemp import (
     DegreeProfile,
     TABLE_PROFILES,
-    bp_decode,
     bp_decode_batch,
     build_code,
-    check_message_llr,
-    check_message_probability,
     code_from_parity_check,
     encode,
     read_alist,
@@ -28,6 +25,11 @@ def small_regular():
 @pytest.fixture(scope="module")
 def small_irregular():
     return build_code(TABLE_PROFILES["n128-alpha1"], 256, np.random.default_rng(11))
+
+
+@pytest.fixture(scope="module")
+def irregular_1000():
+    return build_code(TABLE_PROFILES["n128-alpha1"], 1000, np.random.default_rng(3))
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +76,10 @@ def test_profile_renormalizes_rounded_fractions():
 # construction
 
 
-def test_build_code_realizes_profile_counts():
+def test_build_code_realizes_profile_counts(irregular_1000):
     n = 1000
     profile = TABLE_PROFILES["n128-alpha1"]
-    code = build_code(profile, n, np.random.default_rng(3))
+    code = irregular_1000
     m = n // 2
     vhist = code.variable_degree_histogram()
     chist = code.check_degree_histogram()
@@ -169,10 +171,10 @@ def test_clean_codeword_accepted_without_iterating(small_regular):
     rng = np.random.default_rng(13)
     word = encode(small_regular, rng.integers(0, 2, small_regular.k))
     llr = 4.0 * (1.0 - 2.0 * word)  # positive for bit 0
-    res = bp_decode(small_regular, llr)
-    assert res.iterations == 0
-    assert bool(np.all(res.success))
-    np.testing.assert_array_equal(res.bits, word)
+    bits, ok, iters = bp_decode_batch(small_regular, llr)
+    assert iters == 0
+    assert bool(np.all(ok))
+    np.testing.assert_array_equal(bits[0], word)
 
 
 def test_decoder_corrects_noisy_channel(small_regular):
@@ -184,9 +186,9 @@ def test_decoder_corrects_noisy_channel(small_regular):
     y = x + sigma * rng.standard_normal(code.n)
     llr = 2.0 * y / sigma ** 2
     assert np.any((llr < 0) != word.astype(bool))  # channel actually flips bits
-    res = bp_decode(code, llr, max_iters=50)
-    assert bool(np.all(res.success))
-    np.testing.assert_array_equal(res.bits, word)
+    bits, ok, iters = bp_decode_batch(code, llr, max_iters=50)
+    assert bool(np.all(ok))
+    np.testing.assert_array_equal(bits[0], word)
 
 
 def test_decode_batch_success_implies_zero_syndrome(small_irregular):
@@ -220,27 +222,83 @@ def test_zero_iteration_budget(small_regular):
 # message kernels
 
 
-def test_check_message_conventions_agree(rng):
-    for _ in range(50):
-        llrs = rng.normal(0.0, 2.0, size=rng.integers(2, 7))
-        p_one = 1.0 / (1.0 + np.exp(llrs))  # P(bit=1) under positive-is-zero
-        prob0 = check_message_probability(p_one)
-        from_llr = 1.0 / (1.0 + np.exp(-check_message_llr(llrs)))
-        assert prob0 == pytest.approx(from_llr, abs=1e-6)
+class _CodeOrderKernel:
+    """The sum-product formulas on (B, n_edges) messages in the code's edge
+    order, with sparse check and variable sums: the reference the
+    degree-grouped kernel must reproduce bit for bit."""
+
+    def __init__(self, code):
+        e = code.n_edges
+        ones = np.ones(e)
+        self.to_chk = sparse.csr_matrix((ones, (code.edge_chk, np.arange(e))),
+                                        shape=(code.m, e))
+        self.to_var = sparse.csr_matrix((ones, (code.edge_var, np.arange(e))),
+                                        shape=(code.n, e))
+        self.edge_var = code.edge_var
+        self.edge_chk = code.edge_chk
+
+    def check_update(self, v2c):
+        t = np.tanh(np.clip(v2c, -40.0, 40.0) / 2.0)
+        mag = np.abs(t)
+        np.clip(mag, 1e-30, 1.0 - 1e-15, out=mag)
+        log_mag = np.log(mag)
+        neg = (t < 0).astype(np.float64)
+        log_sum = (self.to_chk @ log_mag.T).T
+        neg_sum = (self.to_chk @ neg.T).T
+        lo_log = log_sum[:, self.edge_chk] - log_mag
+        lo_neg = np.rint(neg_sum[:, self.edge_chk] - neg).astype(np.int64)
+        prod = np.exp(np.minimum(lo_log, 0.0))
+        np.clip(prod, None, 1.0 - 1e-15, out=prod)
+        return np.where(lo_neg % 2 == 0, 1.0, -1.0) * 2.0 * np.arctanh(prod)
+
+    def var_update(self, llrs, c2v):
+        return (llrs + self.extrinsic(c2v))[:, self.edge_var] - c2v
+
+    def extrinsic(self, c2v):
+        return (self.to_var @ c2v.T).T
+
+
+def test_kernel_bit_identical_to_code_order_formulas(irregular_1000):
+    code = irregular_1000
+    assert set(code.check_degree_histogram()) == {6, 12, 18}
+    kern, ref = code.kernel, _CodeOrderKernel(code)
+
+    def rows(msgs):  # (B, n_edges) in code order -> the kernel's (n_edges, B) rows
+        return np.ascontiguousarray(msgs[:, kern.order].T)
+
+    rng = np.random.default_rng(29)
+    b = 12
+    c2v_ref = np.zeros((b, code.n_edges))
+    c2v = kern.fresh_messages(b)
+    for _ in range(4):  # outer rounds carrying the check messages
+        llrs = rng.normal(0.0, 6.0, (b, code.n))
+        v2c_ref = ref.var_update(llrs, c2v_ref)
+        v2c = kern.var_update(llrs, c2v)
+        assert np.array_equal(v2c, rows(v2c_ref))
+        # saturating, tiny and zero messages hit both clips
+        v2c_ref[:, ::5] *= 30.0
+        v2c_ref[:, 1::11] *= 1e-32
+        v2c_ref[:, 2::17] = 0.0
+        assert np.abs(v2c_ref).max() > 40.0
+        assert np.sum((v2c_ref != 0) & (np.abs(v2c_ref) < 2e-30)) > 0
+        c2v_ref = ref.check_update(v2c_ref)
+        c2v = kern.check_update(rows(v2c_ref))
+        assert np.array_equal(c2v, rows(c2v_ref))
+        assert np.array_equal(kern.extrinsic(c2v), ref.extrinsic(c2v_ref))
 
 
 def test_check_update_leave_one_out():
     code = code_from_parity_check(np.array([[1, 1, 1]], dtype=np.uint8))
     kern = code.kernel
-    v2c = np.array([[0.8, -1.3, 2.1]])
+    v2c = np.array([[0.8], [-1.3], [2.1]])  # (n_edges, B): one check, edges in order
     out = kern.check_update(v2c)
 
     def ref(a, b):
         return 2.0 * np.arctanh(np.tanh(a / 2.0) * np.tanh(b / 2.0))
 
     np.testing.assert_allclose(out[0, 0], ref(-1.3, 2.1), atol=1e-10)
-    np.testing.assert_allclose(out[0, 1], ref(0.8, 2.1), atol=1e-10)
-    np.testing.assert_allclose(out[0, 2], ref(0.8, -1.3), atol=1e-10)
+    np.testing.assert_allclose(out[1, 0], ref(0.8, 2.1), atol=1e-10)
+    np.testing.assert_allclose(out[2, 0], ref(0.8, -1.3), atol=1e-10)
 
 
 def test_var_update_excludes_own_message():
@@ -248,8 +306,12 @@ def test_var_update_excludes_own_message():
     code = code_from_parity_check(h)
     kern = code.kernel
     llrs = np.array([[0.5, -0.2, 1.0]])
-    c2v = np.array([[0.3, 0.7, -0.4, 0.1]])  # edges sorted by (check, variable)
-    out = kern.var_update(llrs, c2v)
+    # the degree-2 block holds slot 0 of both checks, then slot 1
+    np.testing.assert_array_equal(kern.order, [0, 2, 1, 3])
+    c2v_code = np.array([0.3, 0.7, -0.4, 0.1])  # edges sorted by (check, variable)
+    rows = kern.var_update(llrs, c2v_code[kern.order, None])
+    out = np.empty((1, 4))
+    out[0, kern.order] = rows[:, 0]
     # variable 1 sits on both checks; each outgoing message uses the other's input
     np.testing.assert_allclose(out[0, 0], 0.5)               # var 0, only check 0
     np.testing.assert_allclose(out[0, 1], -0.2 + (-0.4))     # var 1 -> check 0
@@ -260,7 +322,7 @@ def test_var_update_excludes_own_message():
 def test_fresh_messages_shape(small_regular):
     kern = small_regular.kernel
     msgs = kern.fresh_messages(5)
-    assert msgs.shape == (5, small_regular.n_edges)
+    assert msgs.shape == (small_regular.n_edges, 5)
     assert not msgs.any()
 
 
@@ -275,6 +337,11 @@ def test_kernel_belongs_to_its_code():
     for _ in range(200):
         code = code_from_parity_check(rng.integers(0, 2, size=(6, 12), dtype=np.uint8))
         kern = code.kernel
-        assert np.array_equal(kern.edge_var, code.edge_var)
-        assert np.array_equal(kern.edge_chk, code.edge_chk)
+        assert np.array_equal(np.sort(kern.order), np.arange(code.n_edges))
+        assert np.array_equal(kern.edge_var, code.edge_var[kern.order])
+        chk = code.edge_chk[kern.order]
+        for lo, hi, d in kern.blocks:
+            slots = chk[lo:hi].reshape(d, -1)
+            assert np.all(slots == slots[0])  # one check per column
+            assert np.all(np.bincount(code.edge_chk)[slots[0]] == d)
         del code, kern

@@ -126,6 +126,34 @@ def test_engine_batched_uses(rng):
         np.testing.assert_allclose(state.p[u], ref.p, atol=1e-12)
 
 
+def test_engine_shared_gram_matches_tiled(rng):
+    # J (B, 1, M, M) shared by U uses takes one matrix product per Gram; the
+    # same Gram tiled per use (B, U, M, M) takes one matrix-vector product per use
+    b, u, n, k = 3, 10, 16, 8
+    H = real_stack(draw_channels(rng, n, k, (b,)))
+    nv = noise_variance(6.0, k)
+    x = modulate(rng.integers(0, 2, (b, u, 2 * k)))
+    y = x @ np.swapaxes(H, -1, -2) + rng.normal(0.0, np.sqrt(nv), (b, u, 2 * n))
+    shared = matched_filter(H[:, None], y, nv)
+    assert shared.J.shape == (b, 1, 2 * k, 2 * k)
+    tiled = GramObservation(J=np.repeat(shared.J, u, axis=1), z=shared.z,
+                            sigma_v_sq=shared.sigma_v_sq)
+    engine = MpdEngine(shared)
+    p = rng.uniform(0.05, 0.95, shared.z.shape)
+    # float64 rounding of sums over 2K = 16 terms with |L| <= 50
+    tol = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(engine.llr(p), MpdEngine(tiled).llr(p), **tol)
+    cfg = MpdConfig(iterations=10)
+    a, c = mpd_detect(shared, cfg), mpd_detect(tiled, cfg)
+    np.testing.assert_allclose(a.llr, c.llr, **tol)
+    np.testing.assert_allclose(a.p, c.p, **tol)
+    np.testing.assert_array_equal(hard_decision(a), hard_decision(c))
+    # the engine keeps one copy of off and off_sq, shaped like J
+    assert engine.off.shape == engine.off_sq.shape == shared.J.shape
+    state = sum(v.nbytes for v in vars(engine).values() if isinstance(v, np.ndarray))
+    assert state == 2 * shared.J.nbytes + engine.diag.nbytes + shared.z.nbytes
+
+
 def test_zero_iterations_returns_uniform(rng):
     obs, *_ = observation(8, 4, 8.0, rng)
     state = mpd_detect(obs, MpdConfig(iterations=0))
