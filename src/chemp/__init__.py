@@ -1,11 +1,12 @@
 """Link-level simulator and library for a channel-hardening-exploiting
 message passing (CHEMP) receiver in large multiuser MIMO uplinks.
 
-The receiver works on matched-filter statistics (J = H^T H / N,
-z = H^T y / N), detects with a damped Gaussian-approximation message
-passing algorithm, estimates (J, z) directly from pilots without forming
-a channel estimate, and couples the detector with per-user LDPC decoders
-on a single factor graph.
+The receiver works on matched-filter statistics (the Hermitian Gram
+G = H^H H / N and z = H^H y / N, read through the real stacking J of G),
+detects with a damped Gaussian-approximation message passing algorithm,
+estimates (G, z) directly from pilots without forming a channel estimate,
+and couples the detector with per-user LDPC decoders on a single factor
+graph.
 """
 
 __version__ = "0.1.0"

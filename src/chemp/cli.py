@@ -235,10 +235,11 @@ def _cmd_convergence(args, argv) -> int:
                     track_history=True)
     rows = []
     for t in range(args.trials):
-        h = real_stack(draw_channels(rng, args.n, args.k))
+        hc = draw_channels(rng, args.n, args.k)
         x = modulate(rng.integers(0, 2, size=2 * args.k))
-        y = h @ x + rng.standard_normal(2 * args.n) * np.sqrt(nv)
-        obs = matched_filter(h, y, nv)
+        w = rng.standard_normal(2 * args.n) * np.sqrt(nv)
+        yc = hc @ (x[:args.k] + 1j * x[args.k:]) + (w[:args.n] + 1j * w[args.n:])
+        obs = matched_filter(hc, yc, nv)
         rep = convergence_condition(obs.J)
         state = mpd_detect(obs, cfg)
         res = fixed_point_residuals(state)

@@ -99,10 +99,16 @@ def estimate_z(pilots: PilotObservation, y: np.ndarray,
 
 def gram_observation_from_pilots(pilots: PilotObservation, y: np.ndarray,
                                  n_antennas: int | None = None) -> GramObservation:
-    """Assemble the detector input entirely from the pilot block."""
+    """Assemble the detector input entirely from the pilot block.
+
+    Jhat has the real-stacking block form [[A, -B], [B, A]] of a Hermitian
+    Ghat = A + jB; Ghat is read from its left blocks.
+    """
     n = pilots.n_antennas if n_antennas is None else n_antennas
+    j = estimate_gram(pilots, n)
+    k = j.shape[-1] // 2
     return GramObservation(
-        J=estimate_gram(pilots, n),
+        G=j[..., :k, :k] + 1j * j[..., k:, :k],
         z=estimate_z(pilots, y, n),
         sigma_v_sq=pilots.noise_var / n,
     )

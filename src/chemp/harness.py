@@ -169,19 +169,18 @@ def _uncoded_batch(cfg: SimConfig, point_idx: int, batch_idx: int, n_trials: int
     nv = noise_variance(cfg.snr_db[point_idx], k, cfg.symbol_energy)
     b = n_trials
     hc = draw_channels(rng, n, k, b)
-    h = real_stack(hc)
 
     if cfg.receiver in ("mpd", "mmse", "map-oracle"):
         x = modulate(rng.integers(0, 2, size=(b, m)))
         w = rng.standard_normal((b, 2 * n)) * np.sqrt(nv)
-        y = (h @ x[..., None])[..., 0] + w
         if cfg.receiver == "mpd":
-            obs = matched_filter(h, y, nv)
-            xh = hard_decision(mpd_detect(obs, cfg.mpd))
-        elif cfg.receiver == "mmse":
-            xh, _ = mmse_detect(h, y, nv)
+            xc = x[:, :k] + 1j * x[:, k:]
+            yc = (hc @ xc[..., None])[..., 0] + (w[:, :n] + 1j * w[:, n:])
+            xh = hard_decision(mpd_detect(matched_filter(hc, yc, nv), cfg.mpd))
         else:
-            xh = map_oracle(h, y)
+            h = real_stack(hc)
+            y = (h @ x[..., None])[..., 0] + w
+            xh = mmse_detect(h, y, nv)[0] if cfg.receiver == "mmse" else map_oracle(h, y)
         return b * m, int(np.sum(xh != x)), b
 
     # pilot-estimated receivers: frames of K pilot uses + data uses; the pilot
@@ -190,6 +189,7 @@ def _uncoded_batch(cfg: SimConfig, point_idx: int, batch_idx: int, n_trials: int
     uses = cfg.frame_length - k
     x = modulate(rng.integers(0, 2, size=(b, uses, m)))
     w = rng.standard_normal((b, uses, 2 * n)) * np.sqrt(nv)
+    h = real_stack(hc)
     y = np.einsum("bnm,bum->bun", h, x) + w
     if cfg.receiver == "chemp-estimated":
         xh = hard_decision(mpd_detect(gram_observation_from_pilots(pilots, y), cfg.mpd))
@@ -214,7 +214,7 @@ def _coded_batch(code: LdpcCode, cfg: SimConfig, point_idx: int, batch_idx: int,
     w = rng.standard_normal((b, u, 2 * n)) * np.sqrt(nv)
     y = np.einsum("bnm,bum->bun", h, x) + w
     if cfg.csi == "perfect":
-        obs = matched_filter(h[:, None], y, nv)
+        obs = matched_filter(hc[:, None], y[..., :n] + 1j * y[..., n:], nv)
     else:
         pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k, cfg.symbol_energy))
         obs = gram_observation_from_pilots(pilots, y)

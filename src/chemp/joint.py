@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ldpc import LdpcCode, bp_decode_batch
-from .model import draw_channels, modulate, noise_variance, real_stack
+from .model import draw_channels, modulate, noise_variance
 from .mpd import GramObservation, MpdConfig, MpdEngine, matched_filter, mpd_detect
 
 __all__ = [
@@ -117,7 +117,7 @@ def scatter_bit_llrs(bit_llrs: np.ndarray, n_users: int) -> np.ndarray:
 
 
 def _as_framed(obs: GramObservation, n_uses: int):
-    """Validate that the observation batch is (..., U, 2K) with J per frame."""
+    """Validate that the observation batch is (..., U, 2K) with G per frame."""
     z = obs.z
     if z.ndim < 2 or z.shape[-2] != n_uses:
         raise ValueError("observation z must carry one row per channel use")
@@ -129,8 +129,8 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
                         mpd_cfg: MpdConfig | None = None) -> JointResult:
     """Run the outer detector/decoder schedule on framed observations.
 
-    `obs.z` has shape (..., n/2, 2K); `obs.J` is shared across the uses
-    of a frame (shape (..., 1, 2K, 2K) or (2K, 2K)). LLR convention:
+    `obs.z` has shape (..., n/2, 2K); `obs.G` is shared across the uses
+    of a frame (shape (..., 1, K, K) or (K, K)). LLR convention:
     positive favors bit 0 / symbol +1.
     """
     cfg = cfg or JointConfig()
@@ -145,10 +145,7 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
 
     p = engine.uniform_beliefs()
     ext_sym = np.zeros_like(obs.z)
-    det_llr = np.zeros_like(obs.z)
     c2v = kern.fresh_messages(n_frames * n_users)
-    flat = np.zeros((n_frames * n_users, code.n))
-    rounds = 0
     for rounds in range(1, cfg.outer_iterations + 1):
         for _ in range(cfg.detector_passes):
             det_llr, p = engine.step(p, mpd_cfg.damping, extrinsic_llr=ext_sym)
@@ -165,13 +162,11 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
             np.clip(ext, -cfg.extrinsic_clip, cfg.extrinsic_clip).reshape(
                 lead + (n_users, code.n)), n_users)
 
-    post = flat + kern.extrinsic(c2v)
-    cw = (post < 0).astype(np.uint8)
-    success = ~np.any(code.syndrome(cw), axis=-1)
+    # c2v has not changed since the last round's ext: its decisions stand
     return JointResult(
         codeword_bits=cw.reshape(lead + (n_users, code.n)),
         info_bits=cw[..., code.info_cols].reshape(lead + (n_users, code.k)),
-        success=success.reshape(lead + (n_users,)),
+        success=ok.reshape(lead + (n_users,)),
         outer_rounds=rounds,
         bit_llrs=post.reshape(lead + (n_users, code.n)),
     )
@@ -276,19 +271,20 @@ def measure_exit_detector(n_antennas: int, n_users: int, snr_db: float,
     zs = []
     grams = []
     xs = []
+    n, k = n_antennas, n_users
     for _ in range(n_channels):
-        h = real_stack(draw_channels(rng, n_antennas, n_users))
+        hc = draw_channels(rng, n, k)
         x = modulate(rng.integers(0, 2, size=(uses_per_channel, m)))
-        w = rng.standard_normal((uses_per_channel, n_antennas * 2)) * np.sqrt(nv)
-        y = x @ h.T + w
-        fo = matched_filter(h, y, nv)
+        w = rng.standard_normal((uses_per_channel, n * 2)) * np.sqrt(nv)
+        yc = (x[:, :k] + 1j * x[:, k:]) @ hc.T + (w[:, :n] + 1j * w[:, n:])
+        fo = matched_filter(hc, yc, nv)
         zs.append(fo.z)
-        grams.append(fo.J)
+        grams.append(fo.G)
         xs.append(x)
     z = np.stack(zs)                      # (B, U, 2K)
-    gram = np.stack(grams)[:, None]       # (B, 1, 2K, 2K)
+    gram = np.stack(grams)[:, None]       # (B, 1, K, K)
     x = np.stack(xs)
-    obs = GramObservation(J=gram, z=z, sigma_v_sq=nv / n_antennas)
+    obs = GramObservation(G=gram, z=z, sigma_v_sq=nv / n)
     engine = MpdEngine(obs, llr_clip=mpd_cfg.llr_clip)
 
     out = np.empty(prior_info.shape)

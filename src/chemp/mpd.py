@@ -1,7 +1,9 @@
 """Gram-domain message passing detector.
 
-The matched-filter observation z = H^T y / N obeys z = J x + v with
-J = H^T H / N. Each symbol's interference-plus-noise is approximated as
+The complex matched-filter observation zc = Hc^H yc / N obeys zc = G xc + vc
+with the Hermitian Gram G = Hc^H Hc / N. In the real stacking x = [Re xc, Im xc]
+the detector sees z = [Re zc, Im zc] = J x + v with J = [[Re G, -Im G],
+[Im G, Re G]]. Each symbol's interference-plus-noise is approximated as
 Gaussian with moments accumulated from the other symbols' beliefs:
 
     mu_i      = sum_{j != i} J_ij (2 p_j - 1)
@@ -11,13 +13,19 @@ Gaussian with moments accumulated from the other symbols' beliefs:
 Beliefs p_i = logistic(L_i) iterate with damping; an optional guarded Aitken
 extrapolation accelerates the damped sequence once it contracts geometrically.
 
-All entry points accept leading batch dimensions on J and z.
+The observation carries G, so J's block structure belongs to the type: the
+lower K rows of J repeat the upper K rows with the halves of the belief
+vector exchanged, and a step only needs the upper rows.
+
+All entry points accept leading batch dimensions on G and z.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .model import real_stack
 
 __all__ = [
     "GramObservation",
@@ -33,23 +41,29 @@ __all__ = [
 
 @dataclass
 class GramObservation:
-    """Matched-filter statistics (J, z) and the filtered noise variance."""
+    """Matched-filter statistics: complex Gram G (..., K, K), real z (..., 2K)
+    = [Re zc, Im zc], and the filtered noise variance."""
 
-    J: np.ndarray
+    G: np.ndarray
     z: np.ndarray
     sigma_v_sq: float
 
     def __post_init__(self):
-        self.J = np.asarray(self.J, dtype=float)
+        self.G = np.asarray(self.G, dtype=complex)
         self.z = np.asarray(self.z, dtype=float)
-        if self.J.shape[-1] != self.J.shape[-2]:
-            raise ValueError("J must be square in its trailing axes")
-        if self.z.shape[-1] != self.J.shape[-1]:
-            raise ValueError("z length must match J")
-        if not np.all(np.isfinite(self.J)) or not np.all(np.isfinite(self.z)):
+        if self.G.shape[-1] != self.G.shape[-2]:
+            raise ValueError("G must be square in its trailing axes")
+        if self.z.shape[-1] != 2 * self.G.shape[-1]:
+            raise ValueError("z length must be twice the size of G")
+        if not np.all(np.isfinite(self.G)) or not np.all(np.isfinite(self.z)):
             raise ValueError("observation must be finite")
         if self.sigma_v_sq <= 0:
             raise ValueError("sigma_v_sq must be positive")
+
+    @property
+    def J(self) -> np.ndarray:
+        """The real-stacked Gram [[Re G, -Im G], [Im G, Re G]] (..., 2K, 2K)."""
+        return real_stack(self.G)
 
 
 @dataclass
@@ -83,21 +97,26 @@ class BeliefState:
     history: list | None = None
 
 
-def matched_filter(H: np.ndarray, y: np.ndarray, noise_var: float,
+def matched_filter(hc: np.ndarray, yc: np.ndarray, noise_var: float,
                    n_antennas: int | None = None) -> GramObservation:
-    """Reduce (H, y) to the Gram-domain observation.
+    """Reduce complex (hc (..., N, K), yc (..., N)) to the Gram-domain observation.
 
-    The filtered noise v = H^T w / N has per-component variance
-    noise_var / N for unit-variance complex gains.
+    G = hc^H hc / N, symmetrised as (G + G^H) / 2 so that it is exactly
+    Hermitian with a real diagonal, and z = [Re, Im] of hc^H yc / N. The
+    filtered noise has per-component variance noise_var / N for unit-variance
+    complex gains.
     """
-    H = np.asarray(H, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = n_antennas if n_antennas is not None else H.shape[-2] // 2
-    ht = np.swapaxes(H, -1, -2)
-    J = ht @ H / n
-    J = (J + np.swapaxes(J, -1, -2)) / 2.0
-    z = (ht @ y[..., None])[..., 0] / n
-    return GramObservation(J=J, z=z, sigma_v_sq=noise_var / n)
+    hc = np.asarray(hc, dtype=complex)
+    yc = np.asarray(yc, dtype=complex)
+    n = n_antennas if n_antennas is not None else hc.shape[-2]
+    hh = np.conj(np.swapaxes(hc, -1, -2))
+    gram = hh @ hc
+    G = np.conj(np.swapaxes(gram, -1, -2))
+    G += gram
+    G *= 0.5 / n
+    zc = (hh @ yc[..., None])[..., 0] / n
+    z = np.concatenate([zc.real, zc.imag], axis=-1)
+    return GramObservation(G=G, z=z, sigma_v_sq=noise_var / n)
 
 
 def _logistic(L: np.ndarray) -> np.ndarray:
@@ -126,25 +145,36 @@ class MpdEngine:
     Splitting precomputation from stepping lets the coded receiver drive the
     schedule one update at a time with external symbol priors.
 
-    `off` and `off_sq` hold J and J**2 with zeroed diagonals, shaped like J.
-    When one Gram serves a use axis of z (J shaped (..., 1, M, M) or (M, M),
-    z shaped (..., U, M)), each step forms mu and var for all U uses as one
-    matrix product per Gram; otherwise as one matrix-vector product per use.
+    With one Gram per use (G shaped like z's leading axes), the engine keeps
+    only the upper rows of the zero-diagonal J, V = [Re G, -Im G] (..., K, 2K),
+    and W = V**2. A step forms mu for both halves as one two-row product per
+    Gram, rows [s_r, s_i] and [s_i, -s_r] against V, and var likewise with
+    rows [q_r, q_i] and [q_i, q_r] against W (see `_stacked_product`).
+
+    When one Gram serves a use axis of z (G shaped (..., 1, K, K) or (K, K),
+    z shaped (..., U, 2K)), the step is compute-bound: the engine keeps the
+    full zero-diagonal J and its square, built once from G, and forms mu and
+    var for all U uses as one matrix product per Gram.
     """
 
     def __init__(self, obs: GramObservation, llr_clip: float = 50.0):
-        J = obs.J
-        m = J.shape[-1]
-        self.diag = np.ascontiguousarray(np.diagonal(J, axis1=-2, axis2=-1))
-        off = J.copy()
-        idx = np.arange(m)
-        off[..., idx, idx] = 0.0
-        self.off = off
-        self.off_sq = off ** 2
+        G = obs.G
+        k = G.shape[-1]
+        d = np.diagonal(G, axis1=-2, axis2=-1).real
+        self.diag = np.concatenate([d, d], axis=-1)
+        self.shared = obs.z.ndim >= 2 and (G.ndim == 2 or G.shape[-3] == 1)
+        if self.shared:
+            v = real_stack(G)
+            idx = np.arange(2 * k)
+        else:
+            v = np.concatenate([G.real, -G.imag], axis=-1)
+            idx = np.arange(k)
+        v[..., idx, idx] = 0.0
+        self.v = v
+        self.w = v ** 2
         self.z = obs.z
         self.sigma_v_sq = obs.sigma_v_sq
         self.llr_clip = llr_clip
-        self.m = m
 
     def uniform_beliefs(self, like: np.ndarray | None = None) -> np.ndarray:
         shape = self.z.shape if like is None else like.shape
@@ -154,15 +184,15 @@ class MpdEngine:
         """Extrinsic LLR of every symbol given the others' beliefs."""
         s = 2.0 * p - 1.0
         q = 4.0 * p * (1.0 - p)
-        off, off_sq = self.off, self.off_sq
-        if p.ndim >= 2 and (off.ndim == 2 or off.shape[-3] == 1):
-            # one Gram serves p's use axis: drop J's unit use axis, then (U, M) @ off^T
-            gram = off.shape[:-3] + off.shape[-2:]
-            mu = s @ np.swapaxes(off.reshape(gram), -1, -2)
-            var = q @ np.swapaxes(off_sq.reshape(gram), -1, -2) + self.sigma_v_sq
+        v, w = self.v, self.w
+        if self.shared:
+            # one Gram serves p's use axis: drop G's unit use axis, then (U, 2K) @ J^T
+            gram = v.shape[:-3] + v.shape[-2:]
+            mu = s @ np.swapaxes(v.reshape(gram), -1, -2)
+            var = q @ np.swapaxes(w.reshape(gram), -1, -2) + self.sigma_v_sq
         else:
-            mu = (off @ s[..., None])[..., 0]
-            var = (off_sq @ q[..., None])[..., 0] + self.sigma_v_sq
+            mu = _stacked_product(v, s, -1.0)
+            var = _stacked_product(w, q, 1.0) + self.sigma_v_sq
         L = 2.0 * self.diag * (self.z - mu) / var
         return np.clip(L, -self.llr_clip, self.llr_clip)
 
@@ -174,6 +204,23 @@ class MpdEngine:
                                                         -self.llr_clip, self.llr_clip)
         p_new = (1.0 - damping) * _logistic(total) + damping * p
         return L, p_new
+
+
+def _stacked_product(upper: np.ndarray, a: np.ndarray, sign: float) -> np.ndarray:
+    """M a for M = [[P, Q], [sign Q, P]] given its upper rows [P, Q] (..., K, 2K).
+
+    Both halves come from one two-row product per matrix: rows [a_r, a_i]
+    and [a_i, sign a_r] of a (..., 2K) against the upper rows. The
+    zero-diagonal J has this form with sign -1 (V = [Re G, -Im G]) and J**2
+    with sign +1 (W = V**2).
+    """
+    k = upper.shape[-2]
+    rows = np.empty(a.shape[:-1] + (2, 2 * k))
+    rows[..., 0, :] = a
+    rows[..., 1, :k] = a[..., k:]
+    np.multiply(a[..., :k], sign, out=rows[..., 1, k:])
+    out = rows @ np.swapaxes(upper, -1, -2)
+    return out.reshape(out.shape[:-2] + (2 * k,))
 
 
 def mpd_detect(obs: GramObservation, cfg: MpdConfig,

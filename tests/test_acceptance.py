@@ -101,10 +101,12 @@ def test_ac03_map_agreement():
     nv = noise_variance(10.0, k)
     agree = 0
     for _ in range(trials // batch):
-        hs = np.stack([real_stack(draw_channels(rng, n, k)) for _ in range(batch)])
+        hcs = np.stack([draw_channels(rng, n, k) for _ in range(batch)])
+        hs = real_stack(hcs)
         x = modulate(rng.integers(0, 2, size=(batch, 2 * k)))
         y = (hs @ x[..., None])[..., 0] + rng.normal(0, np.sqrt(nv), (batch, 2 * n))
-        xh = hard_decision(mpd_detect(matched_filter(hs, y, nv, n), MpdConfig()))
+        obs = matched_filter(hcs, y[:, :n] + 1j * y[:, n:], nv, n)
+        xh = hard_decision(mpd_detect(obs, MpdConfig()))
         xm = map_oracle(hs, y)
         agree += int(np.sum(np.all(xh == xm, axis=-1)))
     frac = agree / trials
@@ -141,8 +143,8 @@ def test_ac05_acceleration_iteration_count():
     n = k = 64
     nv = noise_variance(12.0, k)
 
-    def iters_to_tol(cfg, H, y):
-        state = mpd_detect(matched_filter(H, y, nv, n), cfg)
+    def iters_to_tol(cfg, hc, yc):
+        state = mpd_detect(matched_filter(hc, yc, nv, n), cfg)
         res = fixed_point_residuals(state)
         hit = np.nonzero(res < 1e-3)[0]
         return int(hit[0]) + 1 if hit.size else cfg.iterations
@@ -151,11 +153,12 @@ def test_ac05_acceleration_iteration_count():
     fast_cfg = MpdConfig(track_history=True, aitken=True)
     plain, fast = [], []
     for _ in range(200):
-        H = real_stack(draw_channels(rng, n, k))
+        hc = draw_channels(rng, n, k)
         x = modulate(rng.integers(0, 2, 2 * k))
-        y = H @ x + rng.normal(0, np.sqrt(nv), 2 * n)
-        plain.append(iters_to_tol(plain_cfg, H, y))
-        fast.append(iters_to_tol(fast_cfg, H, y))
+        y = real_stack(hc) @ x + rng.normal(0, np.sqrt(nv), 2 * n)
+        yc = y[:n] + 1j * y[n:]
+        plain.append(iters_to_tol(plain_cfg, hc, yc))
+        fast.append(iters_to_tol(fast_cfg, hc, yc))
     mp, mf = float(np.median(plain)), float(np.median(fast))
     ok = mf < mp
     line = verdict(5, ok, f"median iterations to residual<1e-3: {mf:g} with "
@@ -328,10 +331,10 @@ def test_ac12_joint_gain_and_noiseless_recovery():
     info = rng.integers(0, 2, size=(k, code.k))
     words = encode(code, info)
     x = bits_to_symbols(words, k)
-    H = real_stack(draw_channels(rng, 32, k))
+    hc = draw_channels(rng, 32, k)
     nv = noise_variance(300.0, k)
-    y = x @ H.T
-    obs = matched_filter(H[None], y, nv, 32)
+    y = x @ real_stack(hc).T
+    obs = matched_filter(hc[None], y[:, :32] + 1j * y[:, 32:], nv, 32)
     res = joint_detect_decode(obs, code, JointConfig(outer_iterations=2,
                                                      detector_passes=20))
     clean_ok = bool(np.all(res.success)) and res.outer_rounds <= 2 \

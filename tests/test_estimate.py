@@ -82,8 +82,8 @@ def test_observation_assembly_matches_perfect_csi_in_noiseless_limit(rng):
     nv = 1e-12
     y = H @ x
     obs_est = gram_observation_from_pilots(receive_pilots(rng, hc, nv, pilot_amplitude(8)), y)
-    obs_true = matched_filter(H, y, nv, 32)
-    np.testing.assert_allclose(obs_est.J, obs_true.J, atol=1e-4)
+    obs_true = matched_filter(hc, y[:32] + 1j * y[32:], nv, 32)
+    np.testing.assert_allclose(obs_est.G, obs_true.G, atol=1e-4)
     np.testing.assert_allclose(obs_est.z, obs_true.z, atol=1e-4)
     assert obs_est.sigma_v_sq == pytest.approx(obs_true.sigma_v_sq)
 

@@ -37,11 +37,11 @@ def coded_observation(code, n, k, snr_db, rng):
     info = rng.integers(0, 2, size=(k, code.k))
     words = encode(code, info)
     x = bits_to_symbols(words, k)              # (U, 2K)
-    H = real_stack(draw_channels(rng, n, k))
+    hc = draw_channels(rng, n, k)
     nv = noise_variance(snr_db, k)
     w = rng.normal(0.0, np.sqrt(nv), (x.shape[0], 2 * n))
-    y = x @ H.T + w
-    obs = matched_filter(H[None], y, nv, n)    # shared J, one z row per use
+    y = x @ real_stack(hc).T + w
+    obs = matched_filter(hc[None], y[:, :n] + 1j * y[:, n:], nv, n)  # shared G, one z row per use
     return obs, info, words
 
 
@@ -128,7 +128,7 @@ def test_joint_beats_separate_at_moderate_snr(tiny_code, rng):
 def test_joint_batched_frames(tiny_code, rng):
     obs0, info0, _ = coded_observation(tiny_code, 16, 4, 6.0, rng)
     obs1, info1, _ = coded_observation(tiny_code, 16, 4, 6.0, rng)
-    both = GramObservation(J=np.stack([obs0.J, obs1.J]),
+    both = GramObservation(G=np.stack([obs0.G, obs1.G]),
                            z=np.stack([obs0.z, obs1.z]),
                            sigma_v_sq=obs0.sigma_v_sq)
     cfg = JointConfig(outer_iterations=5)

@@ -20,40 +20,52 @@ from chemp import (
 )
 
 
+def complex_halves(v):
+    """[Re, Im] stacked vector(s) (..., 2L) as complex (..., L)."""
+    half = v.shape[-1] // 2
+    return v[..., :half] + 1j * v[..., half:]
+
+
 def observation(n, k, snr_db, rng, x=None):
-    H = real_stack(draw_channels(rng, n, k))
+    hc = draw_channels(rng, n, k)
     if x is None:
         x = modulate(rng.integers(0, 2, 2 * k))
     nv = noise_variance(snr_db, k)
     w = rng.normal(0.0, np.sqrt(nv), 2 * n)
-    y = H @ x + w
-    return matched_filter(H, y, nv, n), H, x, y, nv
+    yc = hc @ complex_halves(x) + complex_halves(w)
+    return matched_filter(hc, yc, nv, n), hc, x, yc, nv
 
 
 def test_matched_filter_fields(rng):
-    obs, H, x, y, nv = observation(32, 16, 10.0, rng)
+    obs, hc, x, yc, nv = observation(32, 16, 10.0, rng)
+    np.testing.assert_allclose(obs.G, hc.conj().T @ hc / 32, atol=1e-12)
+    np.testing.assert_allclose(obs.G, obs.G.conj().T)
+    # the complex front end equals the real-stacked one
+    H = real_stack(hc)
+    y = np.concatenate([yc.real, yc.imag])
     np.testing.assert_allclose(obs.J, H.T @ H / 32, atol=1e-12)
     np.testing.assert_allclose(obs.z, H.T @ y / 32, atol=1e-12)
     assert obs.sigma_v_sq == pytest.approx(nv / 32)
 
 
 def test_matched_filter_default_antenna_count(rng):
-    H = real_stack(draw_channels(rng, 16, 8))
-    y = rng.standard_normal(32)
-    a = matched_filter(H, y, 0.5)
-    b = matched_filter(H, y, 0.5, 16)
-    np.testing.assert_allclose(a.J, b.J)
+    hc = draw_channels(rng, 16, 8)
+    yc = complex_halves(rng.standard_normal(32))
+    a = matched_filter(hc, yc, 0.5)
+    b = matched_filter(hc, yc, 0.5, 16)
+    np.testing.assert_allclose(a.G, b.G)
     np.testing.assert_allclose(a.z, b.z)
 
 
 def test_matched_filter_batched(rng):
-    Hs = np.stack([real_stack(draw_channels(rng, 16, 8)) for _ in range(5)])
-    ys = rng.standard_normal((5, 32))
-    obs = matched_filter(Hs, ys, 0.3, 16)
+    hcs = draw_channels(rng, 16, 8, 5)
+    ycs = complex_halves(rng.standard_normal((5, 32)))
+    obs = matched_filter(hcs, ycs, 0.3, 16)
+    assert obs.G.shape == (5, 8, 8)
     assert obs.J.shape == (5, 16, 16)
     assert obs.z.shape == (5, 16)
-    single = matched_filter(Hs[2], ys[2], 0.3, 16)
-    np.testing.assert_allclose(obs.J[2], single.J)
+    single = matched_filter(hcs[2], ycs[2], 0.3, 16)
+    np.testing.assert_allclose(obs.G[2], single.G)
     np.testing.assert_allclose(obs.z[2], single.z)
 
 
@@ -81,27 +93,32 @@ def test_beliefs_stay_in_unit_interval(seed, damping):
 
 @given(st.integers(0, 2 ** 31 - 1))
 def test_permutation_equivariance(seed):
+    # permuting the users permutes both halves of the real symbol vector
     rng = np.random.default_rng(seed)
-    obs, H, x, y, nv = observation(16, 4, 8.0, rng)
-    perm = rng.permutation(8)
-    obs_p = matched_filter(H[:, perm], y, nv, 16)
+    obs, hc, x, yc, nv = observation(16, 4, 8.0, rng)
+    perm = rng.permutation(4)
+    obs_p = matched_filter(hc[:, perm], yc, nv, 16)
     cfg = MpdConfig(iterations=6)
     a = mpd_detect(obs, cfg).p
     b = mpd_detect(obs_p, cfg).p
-    np.testing.assert_allclose(b, a[perm], atol=1e-10)
+    np.testing.assert_allclose(b, a[np.concatenate([perm, perm + 4])], atol=1e-10)
 
 
 @given(st.integers(0, 2 ** 31 - 1))
 def test_sign_flip_symmetry(seed):
+    # rotating user i's column by c in {1, j, -1, -j} relabels its symbol as
+    # conj(c) xc_i: beliefs stay, swap halves, or reflect (p' = 1 - p)
     rng = np.random.default_rng(seed)
-    obs, H, x, y, nv = observation(16, 4, 8.0, rng)
-    signs = np.where(rng.random(8) < 0.5, -1.0, 1.0)
-    obs_f = matched_filter(H * signs, y, nv, 16)
+    obs, hc, x, yc, nv = observation(16, 4, 8.0, rng)
+    turn = rng.integers(0, 4, 4)
+    obs_f = matched_filter(hc * np.array([1, 1j, -1, -1j])[turn], yc, nv, 16)
     cfg = MpdConfig(iterations=6)
     a = mpd_detect(obs, cfg).p
     b = mpd_detect(obs_f, cfg).p
-    # flipping column i relabels symbol i, so beliefs reflect: p' = p or 1-p
-    np.testing.assert_allclose(np.where(signs > 0, a, 1.0 - a), b, atol=1e-10)
+    re, im = a[:4], a[4:]
+    want_re = np.choose(turn, [re, im, 1.0 - re, 1.0 - im])
+    want_im = np.choose(turn, [im, 1.0 - re, 1.0 - im, re])
+    np.testing.assert_allclose(b, np.concatenate([want_re, want_im]), atol=1e-10)
 
 
 def test_uniform_beliefs_shape(rng):
@@ -114,29 +131,31 @@ def test_uniform_beliefs_shape(rng):
 
 def test_engine_batched_uses(rng):
     # one Gram matrix shared by several filtered observations
-    H = real_stack(draw_channels(rng, 16, 4))
+    hc = draw_channels(rng, 16, 4)
     nv = noise_variance(8.0, 4)
     xs = modulate(rng.integers(0, 2, (3, 8)))
-    ys = np.stack([H @ x + rng.normal(0, np.sqrt(nv), 32) for x in xs])
-    obs_all = matched_filter(np.broadcast_to(H, (3, 32, 8)), ys, nv, 16)
+    ys = np.stack([hc @ complex_halves(x) + complex_halves(rng.normal(0, np.sqrt(nv), 32))
+                   for x in xs])
+    obs_all = matched_filter(np.broadcast_to(hc, (3, 16, 4)), ys, nv, 16)
     state = mpd_detect(obs_all, MpdConfig(iterations=6))
     for u in range(3):
-        single = matched_filter(H, ys[u], nv, 16)
+        single = matched_filter(hc, ys[u], nv, 16)
         ref = mpd_detect(single, MpdConfig(iterations=6))
         np.testing.assert_allclose(state.p[u], ref.p, atol=1e-12)
 
 
 def test_engine_shared_gram_matches_tiled(rng):
-    # J (B, 1, M, M) shared by U uses takes one matrix product per Gram; the
-    # same Gram tiled per use (B, U, M, M) takes one matrix-vector product per use
+    # G (B, 1, K, K) shared by U uses takes one matrix product per Gram; the
+    # same Gram tiled per use (B, U, K, K) takes one two-row product per use
     b, u, n, k = 3, 10, 16, 8
-    H = real_stack(draw_channels(rng, n, k, (b,)))
+    hc = draw_channels(rng, n, k, (b,))
     nv = noise_variance(6.0, k)
     x = modulate(rng.integers(0, 2, (b, u, 2 * k)))
-    y = x @ np.swapaxes(H, -1, -2) + rng.normal(0.0, np.sqrt(nv), (b, u, 2 * n))
-    shared = matched_filter(H[:, None], y, nv)
-    assert shared.J.shape == (b, 1, 2 * k, 2 * k)
-    tiled = GramObservation(J=np.repeat(shared.J, u, axis=1), z=shared.z,
+    w = rng.normal(0.0, np.sqrt(nv), (b, u, 2 * n))
+    yc = complex_halves(x) @ np.swapaxes(hc, -1, -2) + complex_halves(w)
+    shared = matched_filter(hc[:, None], yc, nv)
+    assert shared.G.shape == (b, 1, k, k)
+    tiled = GramObservation(G=np.repeat(shared.G, u, axis=1), z=shared.z,
                             sigma_v_sq=shared.sigma_v_sq)
     engine = MpdEngine(shared)
     p = rng.uniform(0.05, 0.95, shared.z.shape)
@@ -148,10 +167,49 @@ def test_engine_shared_gram_matches_tiled(rng):
     np.testing.assert_allclose(a.llr, c.llr, **tol)
     np.testing.assert_allclose(a.p, c.p, **tol)
     np.testing.assert_array_equal(hard_decision(a), hard_decision(c))
-    # the engine keeps one copy of off and off_sq, shaped like J
-    assert engine.off.shape == engine.off_sq.shape == shared.J.shape
-    state = sum(v.nbytes for v in vars(engine).values() if isinstance(v, np.ndarray))
-    assert state == 2 * shared.J.nbytes + engine.diag.nbytes + shared.z.nbytes
+    # shared, the engine keeps the full zero-diagonal J and J**2 once per Gram;
+    # per use, V + W hold 2 K x 2K reals per Gram
+    per_use = MpdEngine(tiled)
+    for eng, grams, reals in ((engine, b, 2 * (2 * k) ** 2), (per_use, b * u, 2 * k * 2 * k)):
+        state = sum(v.nbytes for v in vars(eng).values() if isinstance(v, np.ndarray))
+        assert eng.v.nbytes + eng.w.nbytes == grams * reals * 8
+        assert state == grams * reals * 8 + eng.diag.nbytes + shared.z.nbytes
+
+
+def dense_reference_llr(obs, p, clip=50.0):
+    """The detector's LLR from the full real-stacked Gram, one use at a time."""
+    off = real_stack(obs.G)
+    d = np.diagonal(off, axis1=-2, axis2=-1).copy()
+    idx = np.arange(off.shape[-1])
+    off[..., idx, idx] = 0.0
+    mu = (off @ (2.0 * p - 1.0)[..., None])[..., 0]
+    var = ((off ** 2) @ (4.0 * p * (1.0 - p))[..., None])[..., 0] + obs.sigma_v_sq
+    return np.clip(2.0 * d * (obs.z - mu) / var, -clip, clip)
+
+
+@pytest.mark.parametrize("batch", [(), (7,)])
+def test_engine_per_use_matches_dense_reference(rng, batch):
+    n, k = 16, 8
+    hc = draw_channels(rng, n, k, batch)
+    nv = noise_variance(6.0, k)
+    x = modulate(rng.integers(0, 2, batch + (2 * k,)))
+    w = rng.normal(0.0, np.sqrt(nv), batch + (2 * n,))
+    yc = (hc @ complex_halves(x)[..., None])[..., 0] + complex_halves(w)
+    obs = matched_filter(hc, yc, nv)
+    engine = MpdEngine(obs)
+    assert engine.v.shape == batch + (k, 2 * k)
+    # float64 rounding of sums over 2K = 16 terms with |L| <= 50
+    tol = dict(rtol=1e-12, atol=1e-12)
+    p = rng.uniform(0.05, 0.95, obs.z.shape)
+    np.testing.assert_allclose(engine.llr(p), dense_reference_llr(obs, p), **tol)
+    cfg = MpdConfig(iterations=10)
+    state = mpd_detect(obs, cfg)
+    p = np.full(obs.z.shape, 0.5)
+    for _ in range(cfg.iterations):
+        L = dense_reference_llr(obs, p)
+        p = (1.0 - cfg.damping) / (1.0 + np.exp(-L)) + cfg.damping * p
+    np.testing.assert_allclose(state.llr, L, **tol)
+    np.testing.assert_allclose(state.p, p, **tol)
 
 
 def test_zero_iterations_returns_uniform(rng):
@@ -236,6 +294,6 @@ def test_config_validation():
 
 def test_gram_observation_validation():
     with pytest.raises(ValueError):
-        GramObservation(J=np.zeros((4, 5)), z=np.zeros(4), sigma_v_sq=0.1)
+        GramObservation(G=np.zeros((4, 5)), z=np.zeros(8), sigma_v_sq=0.1)
     with pytest.raises(ValueError):
-        GramObservation(J=np.zeros((4, 4)), z=np.zeros(5), sigma_v_sq=0.1)
+        GramObservation(G=np.zeros((4, 4)), z=np.zeros(4), sigma_v_sq=0.1)
