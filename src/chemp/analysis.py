@@ -121,14 +121,14 @@ def llr_mse_empirical(n_antennas: int, n_users: int, snr_db: float, trials: int,
         x = np.where(rng.random(2 * k) < 0.5, -1.0, 1.0)
         w = rng.normal(0.0, np.sqrt(nv), 2 * n)
         y = H @ x + w
-        obs = matched_filter(hc, y[:n] + 1j * y[n:], nv, n)
+        obs = matched_filter(hc, y[:n] + 1j * y[n:], nv)
         # uniform beliefs: each half of symbol i sees sum_{j != i} |G_ij|^2
         g_sq = np.abs(obs.G) ** 2
         np.fill_diagonal(g_sq, 0.0)
         sigma_i_sq = np.tile(g_sq.sum(axis=-1), 2) + obs.sigma_v_sq
         L = 2.0 * np.tile(np.diagonal(obs.G).real, 2) * obs.z / sigma_i_sq
-        jh = estimate_gram(pilots, n)
-        zh = estimate_z(pilots, y, n)
+        jh = estimate_gram(pilots)
+        zh = estimate_z(pilots, y)
         Lh = 2.0 * np.diag(jh) * zh / sigma_i_sq
         sq_err.append((Lh - L) ** 2)
         if with_bound:

@@ -11,16 +11,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .analysis import convergence_condition, fixed_point_residuals, llr_mse_empirical
 from .hardening import eigenvalue_histogram, gram, hardening_report, mp_distance
-from .harness import (BerCurve, SimConfig, build_sweep_code, config_hash,
-                      count_operations, resolve_profile, run_coded_sweep,
-                      run_uncoded_sweep)
+from .harness import (BerCurve, SimConfig, count_operations, resolve_profile,
+                      run_coded_sweep, run_uncoded_sweep)
 from .joint import JointConfig, measure_exit_detector
 from .ldpc import build_code, write_alist
 from .model import draw_channels, modulate, noise_variance, real_stack
@@ -77,6 +75,18 @@ def _out_dir(args) -> str:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
+
+
+def _write_table(path: str, header: str, rows):
+    """Write a CSV file: the header line, then each row's cells joined by commas.
+
+    Cells are written with str(), so callers format floats themselves.
+    """
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(str(c) for c in row) + "\n")
+    print(f"wrote {path}")
 
 
 def _write_curve(curve: BerCurve, out: str, stem: str):
@@ -175,13 +185,9 @@ def _cmd_hardening(args, argv) -> int:
                      float(np.mean([r.diag_std for r in reps])),
                      float(np.mean([r.offdiag_rms for r in reps])),
                      float(np.mean([r.offdiag_max for r in reps]))))
-    out = _out_dir(args)
-    path = os.path.join(out, "hardening.csv")
-    with open(path, "w") as f:
-        f.write("n,k,diag_mean,diag_std,offdiag_rms,offdiag_max\n")
-        for r in rows:
-            f.write(f"{r[0]},{r[1]},{r[2]:.6e},{r[3]:.6e},{r[4]:.6e},{r[5]:.6e}\n")
-    print(f"wrote {path}")
+    _write_table(os.path.join(_out_dir(args), "hardening.csv"),
+                 "n,k,diag_mean,diag_std,offdiag_rms,offdiag_max",
+                 ((n, k, *(f"{v:.6e}" for v in stats)) for n, k, *stats in rows))
     for r in rows:
         print(f"  n {r[0]:4d}  offdiag_rms {r[4]:.4f}")
     return 0
@@ -195,14 +201,10 @@ def _cmd_mp_law(args, argv) -> int:
     channels = np.stack([draw_channels(rng, n, k) for _ in range(args.realizations)])
     centers, emp, law = eigenvalue_histogram(channels, bins=args.bins)
     ks = mp_distance(channels)
-    out = _out_dir(args)
-    path = os.path.join(out, "mp_law.csv")
-    with open(path, "w") as f:
-        f.write("bin_center,empirical_density,mp_density\n")
-        for c, e, d in zip(centers, emp, law):
-            f.write(f"{c:.6e},{e:.6e},{d:.6e}\n")
-        f.write(f"# ks_distance={ks:.6e}\n")
-    print(f"wrote {path}")
+    rows = [(f"{c:.6e}", f"{e:.6e}", f"{d:.6e}") for c, e, d in zip(centers, emp, law)]
+    _write_table(os.path.join(_out_dir(args), "mp_law.csv"),
+                 "bin_center,empirical_density,mp_density",
+                 rows + [(f"# ks_distance={ks:.6e}",)])
     print(f"  ks_distance {ks:.4f}")
     return 0
 
@@ -215,13 +217,8 @@ def _cmd_exit(args, argv) -> int:
     ie = measure_exit_detector(args.n, args.k, args.snr, grid, rng,
                                n_channels=args.channels,
                                uses_per_channel=args.uses, mpd_cfg=cfg)
-    out = _out_dir(args)
-    path = os.path.join(out, "exit.csv")
-    with open(path, "w") as f:
-        f.write("i_a,i_e,snr_db\n")
-        for a, e in zip(grid, ie):
-            f.write(f"{a:.6f},{e:.6f},{args.snr:g}\n")
-    print(f"wrote {path}")
+    _write_table(os.path.join(_out_dir(args), "exit.csv"), "i_a,i_e,snr_db",
+                 ((f"{a:.6f}", f"{e:.6f}", f"{args.snr:g}") for a, e in zip(grid, ie)))
     for a, e in zip(grid, ie):
         print(f"  I_A {a:.2f} -> I_E {e:.4f}")
     return 0
@@ -246,16 +243,12 @@ def _cmd_convergence(args, argv) -> int:
         hit = np.flatnonzero(res < args.tol)
         it = int(hit[0]) + 1 if hit.size else -1
         rows.append((t, it, rep.anti_dominance_fraction, rep.diagonal_dominance_fraction))
-    out = _out_dir(args)
-    path = os.path.join(out, "convergence.csv")
-    with open(path, "w") as f:
-        f.write("trial,iterations_to_tol,anti_dominance_fraction,diagonal_dominance_fraction\n")
-        for r in rows:
-            f.write(f"{r[0]},{r[1]},{r[2]:.6f},{r[3]:.6f}\n")
+    _write_table(os.path.join(_out_dir(args), "convergence.csv"),
+                 "trial,iterations_to_tol,anti_dominance_fraction,diagonal_dominance_fraction",
+                 ((t, it, f"{a:.6f}", f"{d:.6f}") for t, it, a, d in rows))
     reached = [r[1] for r in rows if r[1] > 0]
     frac = len(reached) / len(rows) if rows else 0.0
     med = float(np.median(reached)) if reached else float("nan")
-    print(f"wrote {path}")
     print(f"  reached tol {args.tol:g} within {args.iters} iterations: "
           f"{100 * frac:.1f}% of trials (median {med:g})")
     return 0
@@ -270,13 +263,8 @@ def _cmd_llr_mse(args, argv) -> int:
         emp, bound = llr_mse_empirical(args.n, args.k, s, args.trials, rng,
                                        with_bound=True)
         rows.append((s, emp, bound))
-    out = _out_dir(args)
-    path = os.path.join(out, "llr_mse.csv")
-    with open(path, "w") as f:
-        f.write("snr_db,mse_empirical,mse_bound\n")
-        for s, e, b in rows:
-            f.write(f"{s:g},{e:.6e},{b:.6e}\n")
-    print(f"wrote {path}")
+    _write_table(os.path.join(_out_dir(args), "llr_mse.csv"), "snr_db,mse_empirical,mse_bound",
+                 ((f"{s:g}", f"{e:.6e}", f"{b:.6e}") for s, e, b in rows))
     for s, e, b in rows:
         print(f"  snr {s:5.1f} dB  empirical {e:.4e}  bound {b:.4e}")
     return 0
@@ -291,13 +279,9 @@ def _cmd_opcount(args, argv) -> int:
     print(f"  mmse : {mmse.total:,.0f} real ops  {mmse.breakdown}")
     print(f"  ratio mpd/mmse = {ratio:.3f}")
     if args.out:
-        out = _out_dir(args)
-        path = os.path.join(out, "opcount.csv")
-        with open(path, "w") as f:
-            f.write("receiver,total,breakdown\n")
-            for c in (mpd, mmse):
-                f.write(f'{c.receiver},{c.total:.0f},"{json.dumps(c.breakdown)}"\n')
-        print(f"wrote {path}")
+        _write_table(os.path.join(_out_dir(args), "opcount.csv"), "receiver,total,breakdown",
+                     ((c.receiver, f"{c.total:.0f}", f'"{json.dumps(c.breakdown)}"')
+                      for c in (mpd, mmse)))
     return 0
 
 

@@ -70,15 +70,14 @@ def receive_pilots(rng: np.random.Generator, hc: np.ndarray, noise_var: float,
                             noise_var=noise_var)
 
 
-def estimate_gram(pilots: PilotObservation, n_antennas: int | None = None,
-                  subtract_bias: bool = True) -> np.ndarray:
+def estimate_gram(pilots: PilotObservation, subtract_bias: bool = True) -> np.ndarray:
     """Gram estimate Y_p^T Y_p / (N P^2), optionally bias-corrected.
 
     The correction subtracts 2 sigma_n^2 / P^2 from the diagonal, the exact
     expectation of the pilot-noise term; skip it when the noise level is
     unknown.
     """
-    n = pilots.n_antennas if n_antennas is None else n_antennas
+    n = pilots.n_antennas
     yp = pilots.Y_p
     p2 = pilots.amplitude ** 2
     j = np.swapaxes(yp, -1, -2) @ yp / (n * p2)
@@ -89,28 +88,25 @@ def estimate_gram(pilots: PilotObservation, n_antennas: int | None = None,
     return j
 
 
-def estimate_z(pilots: PilotObservation, y: np.ndarray,
-               n_antennas: int | None = None) -> np.ndarray:
+def estimate_z(pilots: PilotObservation, y: np.ndarray) -> np.ndarray:
     """Matched-filter estimate zhat = Y_p^T y / (N P)."""
-    n = pilots.n_antennas if n_antennas is None else n_antennas
     y = np.asarray(y, dtype=float)
-    return (np.swapaxes(pilots.Y_p, -1, -2) @ y[..., None])[..., 0] / (n * pilots.amplitude)
+    return ((np.swapaxes(pilots.Y_p, -1, -2) @ y[..., None])[..., 0]
+            / (pilots.n_antennas * pilots.amplitude))
 
 
-def gram_observation_from_pilots(pilots: PilotObservation, y: np.ndarray,
-                                 n_antennas: int | None = None) -> GramObservation:
+def gram_observation_from_pilots(pilots: PilotObservation, y: np.ndarray) -> GramObservation:
     """Assemble the detector input entirely from the pilot block.
 
     Jhat has the real-stacking block form [[A, -B], [B, A]] of a Hermitian
     Ghat = A + jB; Ghat is read from its left blocks.
     """
-    n = pilots.n_antennas if n_antennas is None else n_antennas
-    j = estimate_gram(pilots, n)
+    j = estimate_gram(pilots)
     k = j.shape[-1] // 2
     return GramObservation(
         G=j[..., :k, :k] + 1j * j[..., k:, :k],
-        z=estimate_z(pilots, y, n),
-        sigma_v_sq=pilots.noise_var / n,
+        z=estimate_z(pilots, y),
+        sigma_v_sq=pilots.noise_var / pilots.n_antennas,
     )
 
 

@@ -46,7 +46,13 @@ CODED_RECEIVERS = ("joint", "separate")
 
 @dataclass
 class SimConfig:
-    """Everything a sweep needs; hashable to a provenance fingerprint."""
+    """Everything a sweep needs; hashable to a provenance fingerprint.
+
+    Symbols are QPSK with Es = 2 per complex symbol, the SNR convention of
+    `model.noise_variance`. `mpd` is the detector loop's schedule and `joint`
+    the joint receiver's outer schedule; every other knob of either lives
+    there and nowhere else.
+    """
 
     n_antennas: int
     n_users: int
@@ -57,7 +63,6 @@ class SimConfig:
     target_errors: int = 100
     max_trials: int = 100_000
     batch_size: int = 100
-    symbol_energy: float = 2.0
     frame_length: int | None = None  # uncoded estimated-CSI: K pilot + rest data
     # coded mode only
     code_spec: str | None = None
@@ -166,7 +171,7 @@ def _uncoded_batch(cfg: SimConfig, point_idx: int, batch_idx: int, n_trials: int
     rng = _batch_rng(cfg.seed, point_idx, batch_idx)
     n, k = cfg.n_antennas, cfg.n_users
     m = 2 * k
-    nv = noise_variance(cfg.snr_db[point_idx], k, cfg.symbol_energy)
+    nv = noise_variance(cfg.snr_db[point_idx], k)
     b = n_trials
     hc = draw_channels(rng, n, k, b)
 
@@ -185,7 +190,7 @@ def _uncoded_batch(cfg: SimConfig, point_idx: int, batch_idx: int, n_trials: int
 
     # pilot-estimated receivers: frames of K pilot uses + data uses; the pilot
     # block gets a use axis so its statistics broadcast over the data uses
-    pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k, cfg.symbol_energy))
+    pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k))
     uses = cfg.frame_length - k
     x = modulate(rng.integers(0, 2, size=(b, uses, m)))
     w = rng.standard_normal((b, uses, 2 * n)) * np.sqrt(nv)
@@ -203,7 +208,7 @@ def _coded_batch(code: LdpcCode, cfg: SimConfig, point_idx: int, batch_idx: int,
     """One batch of coded frames; returns (bits, errors, frames, frame_errors)."""
     rng = _batch_rng(cfg.seed, point_idx, batch_idx)
     n, k = cfg.n_antennas, cfg.n_users
-    nv = noise_variance(cfg.snr_db[point_idx], k, cfg.symbol_energy)
+    nv = noise_variance(cfg.snr_db[point_idx], k)
     b = n_trials
     u = code.n // 2
     info = rng.integers(0, 2, size=(b, k, code.k)).astype(np.uint8)
@@ -216,7 +221,7 @@ def _coded_batch(code: LdpcCode, cfg: SimConfig, point_idx: int, batch_idx: int,
     if cfg.csi == "perfect":
         obs = matched_filter(hc[:, None], y[..., :n] + 1j * y[..., n:], nv)
     else:
-        pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k, cfg.symbol_energy))
+        pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k))
         obs = gram_observation_from_pilots(pilots, y)
     if cfg.receiver == "joint":
         res = joint_detect_decode(obs, code, cfg.joint, cfg.mpd)

@@ -5,7 +5,8 @@ uses of a block-fading channel: odd-numbered code bits ride on the user's
 real symbol component, even-numbered bits on the imaginary component.
 Detector and per-user decoders exchange extrinsic information in outer
 rounds; with zero decoder passes the loop reduces exactly to the plain
-damped detector.
+damped detector. Each round's detector passes run `MpdEngine.run`, the one
+damped loop of `mpd`.
 
 Also provides EXIT-style single-parameter tracking of the detector:
 extrinsic mutual information measured by histogram against consistent
@@ -19,7 +20,8 @@ import numpy as np
 
 from .ldpc import LdpcCode, bp_decode_batch
 from .model import draw_channels, modulate, noise_variance
-from .mpd import GramObservation, MpdConfig, MpdEngine, matched_filter, mpd_detect
+from .mpd import (LLR_CLIP, GramObservation, MpdConfig, MpdEngine, matched_filter,
+                  mpd_detect)
 
 __all__ = [
     "JointConfig",
@@ -40,17 +42,19 @@ __all__ = [
 class JointConfig:
     """Outer schedule for the combined graph.
 
-    One outer round = `detector_passes` detector message updates with the
-    code extrinsics held fixed, followed by `decoder_passes` flooding
-    iterations on the new detector LLRs. The decoder's check-to-variable
-    messages persist across rounds. Damping and the LLR clip of the detector
-    updates come from `MpdConfig`.
+    One outer round = `detector_passes` steps of the damped detector loop
+    with the code extrinsics held fixed as priors, followed by
+    `decoder_passes` flooding iterations on the new detector LLRs. The
+    decoder's check-to-variable messages persist across rounds, and the
+    beliefs carry over from round to round. Damping, Aitken extrapolation
+    (within a round) and history tracking come from `MpdConfig`; its
+    `iterations` is not used. The extrinsics fed back to the detector are
+    clipped to `mpd.LLR_CLIP`.
     """
 
     outer_iterations: int = 20
     detector_passes: int = 1
     decoder_passes: int = 2
-    extrinsic_clip: float = 50.0
 
     def __post_init__(self):
         if self.outer_iterations < 1:
@@ -59,8 +63,6 @@ class JointConfig:
             raise ValueError("detector_passes must be positive")
         if self.decoder_passes < 0:
             raise ValueError("decoder_passes must be nonnegative")
-        if self.extrinsic_clip <= 0:
-            raise ValueError("extrinsic_clip must be positive")
 
 
 @dataclass
@@ -138,7 +140,7 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
     n_users = obs.z.shape[-1] // 2
     n_uses, _ = _frame_shape(code, n_users)
     _as_framed(obs, n_uses)
-    engine = MpdEngine(obs, llr_clip=mpd_cfg.llr_clip)
+    engine = MpdEngine(obs)
     kern = code.kernel
     lead = obs.z.shape[:-2]
     n_frames = int(np.prod(lead, dtype=int)) if lead else 1
@@ -147,9 +149,9 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
     ext_sym = np.zeros_like(obs.z)
     c2v = kern.fresh_messages(n_frames * n_users)
     for rounds in range(1, cfg.outer_iterations + 1):
-        for _ in range(cfg.detector_passes):
-            det_llr, p = engine.step(p, mpd_cfg.damping, extrinsic_llr=ext_sym)
-        bit_llr = gather_bit_llrs(det_llr, n_users)
+        state = engine.run(mpd_cfg, p, ext_sym, cfg.detector_passes)
+        p = state.p
+        bit_llr = gather_bit_llrs(state.llr, n_users)
         flat = bit_llr.reshape(-1, code.n)
         c2v = kern.iterate(flat, c2v, cfg.decoder_passes)
         ext = kern.extrinsic(c2v)
@@ -159,7 +161,7 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
         if ok.all():
             break
         ext_sym = scatter_bit_llrs(
-            np.clip(ext, -cfg.extrinsic_clip, cfg.extrinsic_clip).reshape(
+            np.clip(ext, -LLR_CLIP, LLR_CLIP).reshape(
                 lead + (n_users, code.n)), n_users)
 
     # c2v has not changed since the last round's ext: its decisions stand
@@ -285,7 +287,7 @@ def measure_exit_detector(n_antennas: int, n_users: int, snr_db: float,
     gram = np.stack(grams)[:, None]       # (B, 1, K, K)
     x = np.stack(xs)
     obs = GramObservation(G=gram, z=z, sigma_v_sq=nv / n)
-    engine = MpdEngine(obs, llr_clip=mpd_cfg.llr_clip)
+    engine = MpdEngine(obs)
 
     out = np.empty(prior_info.shape)
     for ix, ia in enumerate(prior_info):
@@ -294,9 +296,6 @@ def measure_exit_detector(n_antennas: int, n_users: int, snr_db: float,
         else:
             sig = float(j_inverse(min(ia, 1.0 - 1e-9)))
             prior = (sig**2 / 2.0) * x + sig * rng.standard_normal(z.shape)
-        p = engine.uniform_beliefs()
-        llr = np.zeros_like(z)
-        for _ in range(mpd_cfg.iterations):
-            llr, p = engine.step(p, mpd_cfg.damping, extrinsic_llr=prior)
+        llr = engine.run(mpd_cfg, prior=prior).llr
         out[ix] = mutual_information_histogram(llr, x, n_bins=n_bins)
     return out

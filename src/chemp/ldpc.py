@@ -430,37 +430,28 @@ class SumProduct:
         return c2v
 
 
-def bp_decode_batch(code: LdpcCode, llrs: np.ndarray, max_iters: int = 50,
-                    return_extrinsic: bool = False):
+def bp_decode_batch(code: LdpcCode, llrs: np.ndarray, max_iters: int = 50):
     """Flooding sum-product over a (B, n) batch of channel LLR vectors.
 
     Positive LLR means bit 0. Stops once every row satisfies all checks;
     a clean input is recognized before any update (iterations = 0).
+    Returns (bits, ok, iterations).
     """
     kern = code.kernel
     L = np.atleast_2d(np.asarray(llrs, dtype=float))
     bits = (L < 0).astype(np.uint8)
     ok = ~np.any(code.syndrome(bits), axis=-1)
     if ok.all() or max_iters == 0:
-        ext = np.zeros_like(L)
-        return _finish(bits, ok, 0, ext, return_extrinsic)
+        return bits, ok, 0
     c2v = kern.fresh_messages(L.shape[0])
-    ext = np.zeros_like(L)
     it = 0
     for it in range(1, max_iters + 1):
         c2v = kern.iterate(L, c2v, 1)
-        ext = kern.extrinsic(c2v)
-        post = L + ext
+        post = L + kern.extrinsic(c2v)
         bits = (post < 0).astype(np.uint8)
         ok = ~np.any(code.syndrome(bits), axis=-1)
         if ok.all():
             break
-    return _finish(bits, ok, it, ext, return_extrinsic)
-
-
-def _finish(bits, ok, it, ext, return_extrinsic):
-    if return_extrinsic:
-        return bits, ok, it, ext
     return bits, ok, it
 
 

@@ -12,12 +12,18 @@ Gaussian with moments accumulated from the other symbols' beliefs:
 
 Beliefs p_i = logistic(L_i) iterate with damping; an optional guarded Aitken
 extrapolation accelerates the damped sequence once it contracts geometrically.
+`MpdEngine.run` is the one damped loop: the plain detector, the joint
+detector/decoder and the EXIT measurement all drive it, the last two with
+fixed prior LLRs added to L before the logistic. Every LLR is clipped to
++-LLR_CLIP.
 
 The observation carries G, so J's block structure belongs to the type: the
 lower K rows of J repeat the upper K rows with the halves of the belief
 vector exchanged, and a step only needs the upper rows.
 
-All entry points accept leading batch dimensions on G and z.
+All entry points accept leading batch dimensions on G and z, and the
+loop runs every row of a batch the same fixed number of steps, so a trial's
+result does not depend on which other trials share its batch.
 """
 from __future__ import annotations
 
@@ -66,39 +72,43 @@ class GramObservation:
         return real_stack(self.G)
 
 
+# bound on every detector LLR, with or without priors; joint clips the
+# decoder extrinsics it feeds back to the same bound
+LLR_CLIP = 50.0
+# Aitken denominators and increments below this count as degenerate
+_AITKEN_EPS = 1e-12
+
+
 @dataclass
 class MpdConfig:
-    """Iteration schedule of the detector."""
+    """Schedule of the damped loop: `iterations` steps of belief damping
+    `damping`, guarded Aitken extrapolation on every third step when `aitken`
+    is set, and a copy of the beliefs after every step when `track_history`
+    is set. The joint receiver runs its own step count per outer round."""
 
     iterations: int = 20
     damping: float = 0.33
     aitken: bool = False
-    convergence_tol: float | None = None
     track_history: bool = False
-    llr_clip: float = 50.0
-    aitken_eps: float = 1e-12
 
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
         if not (0.0 <= self.damping < 1.0):
             raise ValueError("damping must lie in [0, 1)")
-        if self.llr_clip <= 0:
-            raise ValueError("llr_clip must be positive")
 
 
 @dataclass
 class BeliefState:
-    """Final beliefs Pr(x_i = +1), their log-likelihood ratios, and history."""
+    """Final beliefs Pr(x_i = +1), the last step's LLRs (prior excluded), and
+    the beliefs before the first and after every step when tracked."""
 
     p: np.ndarray
     llr: np.ndarray
-    iteration: int
     history: list | None = None
 
 
-def matched_filter(hc: np.ndarray, yc: np.ndarray, noise_var: float,
-                   n_antennas: int | None = None) -> GramObservation:
+def matched_filter(hc: np.ndarray, yc: np.ndarray, noise_var: float) -> GramObservation:
     """Reduce complex (hc (..., N, K), yc (..., N)) to the Gram-domain observation.
 
     G = hc^H hc / N, symmetrised as (G + G^H) / 2 so that it is exactly
@@ -108,7 +118,7 @@ def matched_filter(hc: np.ndarray, yc: np.ndarray, noise_var: float,
     """
     hc = np.asarray(hc, dtype=complex)
     yc = np.asarray(yc, dtype=complex)
-    n = n_antennas if n_antennas is not None else hc.shape[-2]
+    n = hc.shape[-2]
     hh = np.conj(np.swapaxes(hc, -1, -2))
     gram = hh @ hc
     G = np.conj(np.swapaxes(gram, -1, -2))
@@ -123,8 +133,7 @@ def _logistic(L: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-L))
 
 
-def aitken_step(p_t: np.ndarray, p_t1: np.ndarray, p_t2: np.ndarray,
-                eps: float = 1e-12) -> np.ndarray:
+def aitken_step(p_t: np.ndarray, p_t1: np.ndarray, p_t2: np.ndarray) -> np.ndarray:
     """Componentwise Aitken extrapolation of three consecutive iterates.
 
     q_i = p_i - (p'_i - p_i)^2 / (p''_i - 2 p'_i + p_i), passing the newest
@@ -134,7 +143,7 @@ def aitken_step(p_t: np.ndarray, p_t1: np.ndarray, p_t2: np.ndarray,
     p_t1 = np.asarray(p_t1, dtype=float)
     p_t2 = np.asarray(p_t2, dtype=float)
     den = p_t2 - 2.0 * p_t1 + p_t
-    bad = np.abs(den) < eps
+    bad = np.abs(den) < _AITKEN_EPS
     q = p_t - (p_t1 - p_t) ** 2 / np.where(bad, 1.0, den)
     return np.clip(np.where(bad, p_t2, q), 0.0, 1.0)
 
@@ -142,8 +151,8 @@ def aitken_step(p_t: np.ndarray, p_t1: np.ndarray, p_t2: np.ndarray,
 class MpdEngine:
     """Precomputed update kernel for one observation (or batch of them).
 
-    Splitting precomputation from stepping lets the coded receiver drive the
-    schedule one update at a time with external symbol priors.
+    `run` is the damped loop over `step`; the coded receiver and the EXIT
+    measurement call it with external symbol priors.
 
     With one Gram per use (G shaped like z's leading axes), the engine keeps
     only the upper rows of the zero-diagonal J, V = [Re G, -Im G] (..., K, 2K),
@@ -157,7 +166,7 @@ class MpdEngine:
     var for all U uses as one matrix product per Gram.
     """
 
-    def __init__(self, obs: GramObservation, llr_clip: float = 50.0):
+    def __init__(self, obs: GramObservation):
         G = obs.G
         k = G.shape[-1]
         d = np.diagonal(G, axis1=-2, axis2=-1).real
@@ -174,11 +183,9 @@ class MpdEngine:
         self.w = v ** 2
         self.z = obs.z
         self.sigma_v_sq = obs.sigma_v_sq
-        self.llr_clip = llr_clip
 
-    def uniform_beliefs(self, like: np.ndarray | None = None) -> np.ndarray:
-        shape = self.z.shape if like is None else like.shape
-        return np.full(shape, 0.5)
+    def uniform_beliefs(self) -> np.ndarray:
+        return np.full(self.z.shape, 0.5)
 
     def llr(self, p: np.ndarray) -> np.ndarray:
         """Extrinsic LLR of every symbol given the others' beliefs."""
@@ -194,16 +201,35 @@ class MpdEngine:
             mu = _stacked_product(v, s, -1.0)
             var = _stacked_product(w, q, 1.0) + self.sigma_v_sq
         L = 2.0 * self.diag * (self.z - mu) / var
-        return np.clip(L, -self.llr_clip, self.llr_clip)
+        return np.clip(L, -LLR_CLIP, LLR_CLIP)
 
     def step(self, p: np.ndarray, damping: float,
              extrinsic_llr: np.ndarray | None = None):
         """One damped update. Returns (L, new_p); L excludes extrinsic_llr."""
         L = self.llr(p)
         total = L if extrinsic_llr is None else np.clip(L + extrinsic_llr,
-                                                        -self.llr_clip, self.llr_clip)
+                                                        -LLR_CLIP, LLR_CLIP)
         p_new = (1.0 - damping) * _logistic(total) + damping * p
         return L, p_new
+
+    def run(self, cfg: MpdConfig, p: np.ndarray | None = None,
+            prior: np.ndarray | None = None, steps: int | None = None) -> BeliefState:
+        """The damped loop: `steps` (default `cfg.iterations`) steps from
+        beliefs p (default uniform) with the prior LLRs held fixed."""
+        p = self.uniform_beliefs() if p is None else np.asarray(p, dtype=float)
+        history = [p.copy()] if cfg.track_history else None
+        window: list[np.ndarray] = []
+        L = None  # no zero array per call: joint runs one call per outer round
+        for _ in range(cfg.iterations if steps is None else steps):
+            L, p = self.step(p, cfg.damping, prior)
+            if cfg.aitken:
+                window.append(p.copy())
+                if len(window) == 3:
+                    p = _guarded_aitken(window)
+                    window.clear()
+            if history is not None:
+                history.append(p.copy())
+        return BeliefState(p=p, llr=np.zeros_like(p) if L is None else L, history=history)
 
 
 def _stacked_product(upper: np.ndarray, a: np.ndarray, sign: float) -> np.ndarray:
@@ -223,40 +249,20 @@ def _stacked_product(upper: np.ndarray, a: np.ndarray, sign: float) -> np.ndarra
     return out.reshape(out.shape[:-2] + (2 * k,))
 
 
-def mpd_detect(obs: GramObservation, cfg: MpdConfig,
-               p_init: np.ndarray | None = None) -> BeliefState:
+def mpd_detect(obs: GramObservation, cfg: MpdConfig) -> BeliefState:
     """Run the damped message passing schedule on one observation."""
-    engine = MpdEngine(obs, llr_clip=cfg.llr_clip)
-    p = engine.uniform_beliefs() if p_init is None else np.asarray(p_init, dtype=float)
-    history = [p.copy()] if cfg.track_history else None
-    window: list[np.ndarray] = []
-    L = np.zeros_like(p)
-    it = 0
-    for it in range(1, cfg.iterations + 1):
-        p_prev = p
-        L, p = engine.step(p, cfg.damping)
-        if cfg.aitken:
-            window.append(p.copy())
-            if len(window) == 3:
-                p = _guarded_aitken(window, cfg.aitken_eps)
-                window.clear()
-        if history is not None:
-            history.append(p.copy())
-        if cfg.convergence_tol is not None:
-            if np.max(np.abs(p - p_prev)) < cfg.convergence_tol:
-                break
-    return BeliefState(p=p, llr=L, iteration=it, history=history)
+    return MpdEngine(obs).run(cfg)
 
 
-def _guarded_aitken(window: list[np.ndarray], eps: float) -> np.ndarray:
+def _guarded_aitken(window: list[np.ndarray]) -> np.ndarray:
     """Accept the extrapolation only where the increments contract geometrically."""
     p0, p1, p2 = window
     d0 = p1 - p0
     d1 = p2 - p1
-    safe = np.abs(d0) > eps
+    safe = np.abs(d0) > _AITKEN_EPS
     ratio = d1 / np.where(safe, d0, 1.0)
     contracting = safe & (ratio > 0.0) & (ratio < 1.0)
-    q = aitken_step(p0, p1, p2, eps)
+    q = aitken_step(p0, p1, p2)
     return np.where(contracting, q, p2)
 
 

@@ -105,7 +105,7 @@ def test_ac03_map_agreement():
         hs = real_stack(hcs)
         x = modulate(rng.integers(0, 2, size=(batch, 2 * k)))
         y = (hs @ x[..., None])[..., 0] + rng.normal(0, np.sqrt(nv), (batch, 2 * n))
-        obs = matched_filter(hcs, y[:, :n] + 1j * y[:, n:], nv, n)
+        obs = matched_filter(hcs, y[:, :n] + 1j * y[:, n:], nv)
         xh = hard_decision(mpd_detect(obs, MpdConfig()))
         xm = map_oracle(hs, y)
         agree += int(np.sum(np.all(xh == xm, axis=-1)))
@@ -144,7 +144,7 @@ def test_ac05_acceleration_iteration_count():
     nv = noise_variance(12.0, k)
 
     def iters_to_tol(cfg, hc, yc):
-        state = mpd_detect(matched_filter(hc, yc, nv, n), cfg)
+        state = mpd_detect(matched_filter(hc, yc, nv), cfg)
         res = fixed_point_residuals(state)
         hit = np.nonzero(res < 1e-3)[0]
         return int(hit[0]) + 1 if hit.size else cfg.iterations
@@ -334,7 +334,7 @@ def test_ac12_joint_gain_and_noiseless_recovery():
     hc = draw_channels(rng, 32, k)
     nv = noise_variance(300.0, k)
     y = x @ real_stack(hc).T
-    obs = matched_filter(hc[None], y[:, :32] + 1j * y[:, 32:], nv, 32)
+    obs = matched_filter(hc[None], y[:, :32] + 1j * y[:, 32:], nv)
     res = joint_detect_decode(obs, code, JointConfig(outer_iterations=2,
                                                      detector_passes=20))
     clean_ok = bool(np.all(res.success)) and res.outer_rounds <= 2 \

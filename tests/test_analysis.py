@@ -41,11 +41,11 @@ def test_convergence_condition_hardening_improves_with_antennas(rng):
 
 
 def test_fixed_point_residuals_decrease(rng):
-    H = real_stack(draw_channels(rng, 64, 16))
+    hc = draw_channels(rng, 64, 16)
     x = modulate(rng.integers(0, 2, 32))
     nv = noise_variance(12.0, 16)
-    y = H @ x + rng.normal(0, np.sqrt(nv), 128)
-    state = mpd_detect(matched_filter(H, y, nv, 64),
+    y = real_stack(hc) @ x + rng.normal(0, np.sqrt(nv), 128)
+    state = mpd_detect(matched_filter(hc, y[:64] + 1j * y[64:], nv),
                        MpdConfig(iterations=20, track_history=True))
     res = fixed_point_residuals(state)
     assert res.shape == (20,)
@@ -54,9 +54,9 @@ def test_fixed_point_residuals_decrease(rng):
 
 
 def test_fixed_point_residuals_requires_history(rng):
-    H = real_stack(draw_channels(rng, 16, 4))
+    hc = draw_channels(rng, 16, 4)
     y = rng.standard_normal(32)
-    state = mpd_detect(matched_filter(H, y, 0.5, 16), MpdConfig(iterations=5))
+    state = mpd_detect(matched_filter(hc, y[:16] + 1j * y[16:], 0.5), MpdConfig(iterations=5))
     with pytest.raises(ValueError):
         fixed_point_residuals(state)
 

@@ -213,6 +213,15 @@ def test_unknown_config_key_fails(tmp_path):
     assert run(tmp_path, "uncoded", "--config", str(cfg_path)) == 1
 
 
+@pytest.mark.parametrize("removed", [{"symbol_energy": 2.0},
+                                     {"mpd": {"convergence_tol": 1e-3}},
+                                     {"mpd": {"llr_clip": 50.0}}])
+def test_removed_config_key_fails(tmp_path, removed):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_antennas": 8, "n_users": 4, **removed}))
+    assert run(tmp_path, "uncoded", "--config", str(cfg_path)) == 1
+
+
 def test_internal_error_maps_to_two(tmp_path, monkeypatch):
     import chemp.cli as cli_mod
 

@@ -41,7 +41,7 @@ def coded_observation(code, n, k, snr_db, rng):
     nv = noise_variance(snr_db, k)
     w = rng.normal(0.0, np.sqrt(nv), (x.shape[0], 2 * n))
     y = x @ real_stack(hc).T + w
-    obs = matched_filter(hc[None], y[:, :n] + 1j * y[:, n:], nv, n)  # shared G, one z row per use
+    obs = matched_filter(hc[None], y[:, :n] + 1j * y[:, n:], nv)  # shared G, one z row per use
     return obs, info, words
 
 
@@ -200,6 +200,17 @@ def test_mutual_information_histogram_edge_cases(rng):
     assert mutual_information_histogram(strong, x) > 0.95
     with pytest.raises(ValueError):
         mutual_information_histogram(np.zeros(5), np.ones(6))
+
+
+def test_measure_exit_detector_reproduces_recorded_values():
+    # values recorded before the EXIT measurement moved onto MpdEngine.run;
+    # the same draws and the same damped steps must give them again
+    out = measure_exit_detector(16, 16, 0.0, [0.0, 0.3, 0.6, 0.9],
+                                np.random.default_rng(606), n_channels=6,
+                                uses_per_channel=8, mpd_cfg=MpdConfig(iterations=10))
+    recorded = [0.3358898511955062, 0.41492619154038857,
+                0.4469834166319459, 0.4500697894174259]
+    np.testing.assert_allclose(out, recorded, rtol=1e-9)
 
 
 def test_measure_exit_detector_transfer(rng):

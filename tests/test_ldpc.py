@@ -201,16 +201,6 @@ def test_decode_batch_success_implies_zero_syndrome(small_irregular):
     np.testing.assert_array_equal(ok, ~np.any(syn, axis=-1))
 
 
-def test_decode_batch_extrinsic_output(small_regular):
-    rng = np.random.default_rng(23)
-    word = encode(small_regular, rng.integers(0, 2, small_regular.k))
-    llr = np.tile(3.0 * (1.0 - 2.0 * word), (2, 1))
-    llr[1] = 2.0 * rng.standard_normal(small_regular.n)
-    bits, ok, iters, ext = bp_decode_batch(small_regular, llr, max_iters=20,
-                                           return_extrinsic=True)
-    assert ext.shape == llr.shape
-
-
 def test_zero_iteration_budget(small_regular):
     llr = np.ones((3, small_regular.n))
     bits, ok, iters = bp_decode_batch(small_regular, llr, max_iters=0)
