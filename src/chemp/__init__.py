@@ -17,9 +17,8 @@ from .baselines import map_oracle, mmse_detect, qfunc, siso_awgn_ber
 from .estimate import (PilotObservation, estimate_gram, estimate_z,
                        gram_observation_from_pilots, mmse_channel_estimate,
                        pilot_amplitude, receive_pilots)
-from .hardening import (GramMatrix, HardeningReport, eigenvalue_histogram,
-                        gram, hardening_report, mp_cdf, mp_density,
-                        mp_distance, mp_support)
+from .hardening import (HardeningReport, eigenvalue_histogram, hardening_report,
+                        mp_cdf, mp_density, mp_distance, mp_support)
 from .harness import (BerCurve, BerPoint, OperationCount, SimConfig,
                       build_sweep_code, config_hash, count_operations,
                       resolve_profile, run_coded_sweep, run_uncoded_sweep)
@@ -30,7 +29,7 @@ from .joint import (JointConfig, JointResult, bits_to_symbols,
 from .ldpc import (TABLE_PROFILES, DegreeProfile, LdpcCode, SumProduct,
                    bp_decode_batch, build_code, code_from_parity_check,
                    encode, read_alist, regular_profile, write_alist)
-from .model import draw_channels, modulate, noise_variance, real_stack
+from .model import draw_channels, gram, modulate, noise_variance, real_stack, receive
 from .mpd import (BeliefState, GramObservation, MpdConfig, MpdEngine,
                   aitken_step, hard_decision, matched_filter, mpd_detect)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import estimate_gram, estimate_z, receive_pilots
-from .model import draw_channels, noise_variance, real_stack
+from .model import draw_channels, noise_variance, receive
 from .mpd import BeliefState, matched_filter
 
 __all__ = [
@@ -99,40 +99,37 @@ def llr_mse_bound(sigma_v_sq: float, alpha: float, n_antennas: int,
 
 
 def llr_mse_empirical(n_antennas: int, n_users: int, snr_db: float, trials: int,
-                      rng: np.random.Generator, pilot_amplitude: float = 1.0,
-                      symbol_energy: float = 2.0, with_bound: bool = False):
+                      rng: np.random.Generator, with_bound: bool = False):
     """First-iteration LLR perturbation from pilot estimation, measured.
 
-    Both LLRs start from uniform beliefs (mu_i = 0) and share the true-system
-    interference variance, isolating the numerator perturbation the bound
-    models; the true-statistics receiver has zero error by construction.
-    Returns the mean squared LLR difference, or (mse, mean_bound) when
-    with_bound is set.
+    Pilots have unit amplitude. Both LLRs start from uniform beliefs
+    (mu_i = 0) and share the true-system interference variance, isolating the
+    numerator perturbation the bound models; the true-statistics receiver has
+    zero error by construction. Returns the mean squared LLR difference, or
+    (mse, mean_bound) when with_bound is set.
     """
     n, k = n_antennas, n_users
-    nv = noise_variance(snr_db, k, symbol_energy)
-    p = float(pilot_amplitude)
+    nv = noise_variance(snr_db, k)
     sq_err = []
     bounds = []
     for _ in range(trials):
         hc = draw_channels(rng, n, k)
-        H = real_stack(hc)
-        pilots = receive_pilots(rng, hc, nv, p)
+        pilots = receive_pilots(rng, hc, nv, 1.0)
         x = np.where(rng.random(2 * k) < 0.5, -1.0, 1.0)
         w = rng.normal(0.0, np.sqrt(nv), 2 * n)
-        y = H @ x + w
-        obs = matched_filter(hc, y[:n] + 1j * y[n:], nv)
+        yc = receive(hc, x, w)
+        obs = matched_filter(hc, yc, nv)
         # uniform beliefs: each half of symbol i sees sum_{j != i} |G_ij|^2
         g_sq = np.abs(obs.G) ** 2
         np.fill_diagonal(g_sq, 0.0)
         sigma_i_sq = np.tile(g_sq.sum(axis=-1), 2) + obs.sigma_v_sq
         L = 2.0 * np.tile(np.diagonal(obs.G).real, 2) * obs.z / sigma_i_sq
-        jh = estimate_gram(pilots)
-        zh = estimate_z(pilots, y)
-        Lh = 2.0 * np.diag(jh) * zh / sigma_i_sq
+        gh = estimate_gram(pilots)
+        zh = estimate_z(pilots, yc)
+        Lh = 2.0 * np.tile(np.diagonal(gh).real, 2) * zh / sigma_i_sq
         sq_err.append((Lh - L) ** 2)
         if with_bound:
-            bounds.append(llr_mse_bound(2.0 * nv / p ** 2, k / n, n,
+            bounds.append(llr_mse_bound(2.0 * nv, k / n, n,
                                         obs.z, np.zeros_like(obs.z), sigma_i_sq))
     mse = float(np.mean(sq_err))
     if with_bound:

@@ -1,28 +1,30 @@
-"""Reference detectors: linear MMSE, exhaustive maximum-likelihood, and the
-single-user AWGN bit error rate under the same SNR convention."""
+"""Reference detectors on the Gram-domain observation (linear MMSE and the
+exhaustive maximum-likelihood rule) and the single-user AWGN bit error rate
+under the same SNR convention."""
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import erfc
 
+from .mpd import GramObservation
+
 __all__ = ["mmse_detect", "map_oracle", "siso_awgn_ber", "qfunc"]
 
 
-def mmse_detect(H: np.ndarray, y: np.ndarray, noise_var: float):
-    """Regularized linear estimate, solved rather than inverted.
+def mmse_detect(obs: GramObservation):
+    """Regularized linear estimate from the matched-filter statistics.
 
-    Solves (H^T H + noise_var I) s = H^T y and slices the sign.
-    Returns (x_hat, s). Accepts leading batch dimensions.
+    Solves (G + sigma_v^2 I) s_c = z_c, one complex K x K system per Gram
+    broadcast over any use axes of z, which is (H^T H + sigma_n^2 I) s = H^T y
+    of the real-stacked channel scaled by 1/N. Returns real (x_hat, s) with
+    s = [Re s_c, Im s_c] (..., 2K) and x_hat its signs.
     """
-    H = np.asarray(H, dtype=float)
-    y = np.asarray(y, dtype=float)
-    ht = np.swapaxes(H, -1, -2)
-    A = ht @ H
-    m = A.shape[-1]
-    idx = np.arange(m)
-    A[..., idx, idx] += noise_var
-    rhs = (ht @ y[..., None])
-    s = np.linalg.solve(A, rhs)[..., 0]
+    G = obs.G
+    k = G.shape[-1]
+    A = G + obs.sigma_v_sq * np.eye(k)
+    zc = obs.z[..., :k] + 1j * obs.z[..., k:]
+    sc = np.linalg.solve(A, zc[..., None])[..., 0]
+    s = np.concatenate([sc.real, sc.imag], axis=-1)
     return np.where(s >= 0, 1.0, -1.0), s
 
 
@@ -33,24 +35,21 @@ def _candidates(m: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def map_oracle(H: np.ndarray, y: np.ndarray, noise_var: float | None = None) -> np.ndarray:
+def map_oracle(obs: GramObservation) -> np.ndarray:
     """Exhaustive minimum-distance decision over all {-1,+1}^{2K} vectors.
 
-    With equiprobable symbols the decision does not depend on the noise level;
-    the parameter is accepted for interface symmetry. Requires 2K <= 16.
-    Accepts leading batch dimensions on H and y.
+    Minimizes c^T J c - 2 c^T z, which is ||y - H c||^2 / N of the
+    real-stacked channel up to a constant; with equiprobable symbols the
+    decision does not depend on the noise level. Requires 2K <= 16.
+    Accepts leading batch dimensions.
     """
-    H = np.asarray(H, dtype=float)
-    y = np.asarray(y, dtype=float)
-    m = H.shape[-1]
+    J = obs.J
+    m = J.shape[-1]
     if m > 16:
         raise ValueError("exhaustive search limited to 2K <= 16 symbols")
     cand = _candidates(m)
-    # distances ||y - H c||^2 for every candidate c
-    yc = H @ cand.T
-    d2 = ((y[..., None] - yc) ** 2).sum(axis=-2)
-    best = np.argmin(d2, axis=-1)
-    return cand[best]
+    d = np.sum((cand @ J) * cand, axis=-1) - 2.0 * (obs.z @ cand.T)
+    return cand[np.argmin(d, axis=-1)]
 
 
 def qfunc(x) -> np.ndarray:

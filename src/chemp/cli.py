@@ -16,12 +16,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import convergence_condition, fixed_point_residuals, llr_mse_empirical
-from .hardening import eigenvalue_histogram, gram, hardening_report, mp_distance
+from .hardening import eigenvalue_histogram, hardening_report, mp_distance
 from .harness import (BerCurve, SimConfig, count_operations, resolve_profile,
                       run_coded_sweep, run_uncoded_sweep)
 from .joint import JointConfig, measure_exit_detector
 from .ldpc import build_code, write_alist
-from .model import draw_channels, modulate, noise_variance, real_stack
+from .model import draw_channels, gram, modulate, noise_variance, real_stack
 from .mpd import MpdConfig, matched_filter, mpd_detect
 
 
@@ -178,8 +178,7 @@ def _cmd_hardening(args, argv) -> int:
         k = max(1, int(round(args.alpha * n)))
         reps = []
         for _ in range(args.realizations):
-            h = real_stack(draw_channels(rng, n, k))
-            reps.append(hardening_report(gram(h, n)))
+            reps.append(hardening_report(real_stack(gram(draw_channels(rng, n, k)))))
         rows.append((n, k,
                      float(np.mean([r.diag_mean for r in reps])),
                      float(np.mean([r.diag_std for r in reps])),

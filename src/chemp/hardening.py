@@ -1,10 +1,10 @@
 """Gram-matrix concentration diagnostics and the limiting eigenvalue law.
 
 As the array grows at fixed loading alpha = K/N, the normalized Gram matrix
-J = H^T H / N concentrates: diagonal entries tighten around the per-user
-variance and off-diagonal entries shrink like 1/sqrt(N). The eigenvalue
-spectrum of the normalized complex Gram matrix approaches the
-Marchenko-Pastur density with ratio alpha.
+G = H^H H / N (`model.gram`) concentrates: diagonal entries tighten around the
+per-user variance and off-diagonal entries shrink like 1/sqrt(N). The
+concentration report reads the real stacking J of G; the eigenvalue
+spectrum of G approaches the Marchenko-Pastur density with ratio alpha.
 """
 from __future__ import annotations
 
@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from .model import gram
+
 __all__ = [
-    "GramMatrix",
     "HardeningReport",
-    "gram",
     "hardening_report",
     "mp_density",
     "mp_cdf",
@@ -24,21 +24,6 @@ __all__ = [
     "mp_distance",
     "eigenvalue_histogram",
 ]
-
-
-@dataclass
-class GramMatrix:
-    """Normalized Gram matrix J = H^T H / N with its normalization."""
-
-    J: np.ndarray
-    n_antennas: int
-
-    def __post_init__(self):
-        self.J = np.asarray(self.J, dtype=float)
-        if self.J.ndim != 2 or self.J.shape[0] != self.J.shape[1]:
-            raise ValueError("J must be square")
-        if self.n_antennas < 1:
-            raise ValueError("n_antennas must be positive")
 
 
 @dataclass
@@ -52,15 +37,9 @@ class HardeningReport:
     size: int
 
 
-def gram(H: np.ndarray, n_antennas: int) -> GramMatrix:
-    """J = H^T H / N, symmetrized to remove floating-point asymmetry."""
-    H = np.asarray(H, dtype=float)
-    m = H.T @ H / n_antennas
-    return GramMatrix(J=(m + m.T) / 2.0, n_antennas=n_antennas)
-
-
-def hardening_report(g: GramMatrix | np.ndarray) -> HardeningReport:
-    J = g.J if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
+def hardening_report(J: np.ndarray) -> HardeningReport:
+    """Diagonal and off-diagonal statistics of one real-stacked Gram J (2K, 2K)."""
+    J = np.asarray(J, dtype=float)
     d = np.diag(J)
     off = J[~np.eye(J.shape[0], dtype=bool)]
     return HardeningReport(
@@ -128,8 +107,7 @@ def _normalized_eigs(hc: np.ndarray) -> np.ndarray:
     """Pooled eigenvalues of H^H H / N over complex channels (..., N, K)."""
     if hc.ndim < 2 or hc.size == 0:
         raise ValueError("need at least one N x K channel realization")
-    g = np.swapaxes(hc.conj(), -1, -2) @ hc / hc.shape[-2]
-    return np.linalg.eigvalsh(g).ravel()
+    return np.linalg.eigvalsh(gram(hc)).ravel()
 
 
 def mp_distance(channels: np.ndarray, alpha: float | None = None) -> float:

@@ -23,7 +23,7 @@ from .estimate import (gram_observation_from_pilots, mmse_channel_estimate,
                        pilot_amplitude, receive_pilots)
 from .joint import JointConfig, bits_to_symbols, detect_then_decode, joint_detect_decode
 from .ldpc import TABLE_PROFILES, LdpcCode, build_code, encode, regular_profile
-from .model import draw_channels, modulate, noise_variance, real_stack
+from .model import draw_channels, modulate, noise_variance, receive
 from .mpd import MpdConfig, hard_decision, matched_filter, mpd_detect
 
 __all__ = [
@@ -92,6 +92,9 @@ class SimConfig:
             raise ValueError("map-oracle is limited to K <= 8")
         if self.receiver in CODED_RECEIVERS and self.code_spec is None:
             raise ValueError("coded receivers need code_spec")
+        if self.receiver == "joint" and self.mpd.aitken and self.joint.detector_passes < 3:
+            raise ValueError("Aitken extrapolation in the joint receiver needs "
+                             "detector_passes >= 3: its window spans three steps of one round")
 
     def _estimated_csi(self) -> bool:
         return self.receiver in ("chemp-estimated", "mmse-estimated") or (
@@ -178,29 +181,26 @@ def _uncoded_batch(cfg: SimConfig, point_idx: int, batch_idx: int, n_trials: int
     if cfg.receiver in ("mpd", "mmse", "map-oracle"):
         x = modulate(rng.integers(0, 2, size=(b, m)))
         w = rng.standard_normal((b, 2 * n)) * np.sqrt(nv)
-        if cfg.receiver == "mpd":
-            xc = x[:, :k] + 1j * x[:, k:]
-            yc = (hc @ xc[..., None])[..., 0] + (w[:, :n] + 1j * w[:, n:])
-            xh = hard_decision(mpd_detect(matched_filter(hc, yc, nv), cfg.mpd))
-        else:
-            h = real_stack(hc)
-            y = (h @ x[..., None])[..., 0] + w
-            xh = mmse_detect(h, y, nv)[0] if cfg.receiver == "mmse" else map_oracle(h, y)
-        return b * m, int(np.sum(xh != x)), b
-
-    # pilot-estimated receivers: frames of K pilot uses + data uses; the pilot
-    # block gets a use axis so its statistics broadcast over the data uses
-    pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k))
-    uses = cfg.frame_length - k
-    x = modulate(rng.integers(0, 2, size=(b, uses, m)))
-    w = rng.standard_normal((b, uses, 2 * n)) * np.sqrt(nv)
-    h = real_stack(hc)
-    y = np.einsum("bnm,bum->bun", h, x) + w
-    if cfg.receiver == "chemp-estimated":
-        xh = hard_decision(mpd_detect(gram_observation_from_pilots(pilots, y), cfg.mpd))
+        obs = matched_filter(hc, receive(hc, x[:, None], w[:, None])[:, 0], nv)
     else:
-        xh, _ = mmse_detect(mmse_channel_estimate(pilots), y, nv)
-    return b * uses * m, int(np.sum(xh != x)), b
+        # pilot-estimated receivers: frames of K pilot uses + data uses; the
+        # pilot block gets a use axis so its statistics broadcast over the data uses
+        pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k))
+        uses = cfg.frame_length - k
+        x = modulate(rng.integers(0, 2, size=(b, uses, m)))
+        w = rng.standard_normal((b, uses, 2 * n)) * np.sqrt(nv)
+        yc = receive(hc, x, w)
+        if cfg.receiver == "chemp-estimated":
+            obs = gram_observation_from_pilots(pilots, yc)
+        else:
+            obs = matched_filter(mmse_channel_estimate(pilots), yc, nv)
+    if cfg.receiver in ("mpd", "chemp-estimated"):
+        xh = hard_decision(mpd_detect(obs, cfg.mpd))
+    elif cfg.receiver == "map-oracle":
+        xh = map_oracle(obs)
+    else:
+        xh = mmse_detect(obs)[0]
+    return x.size, int(np.sum(xh != x)), b
 
 
 def _coded_batch(code: LdpcCode, cfg: SimConfig, point_idx: int, batch_idx: int,
@@ -215,14 +215,13 @@ def _coded_batch(code: LdpcCode, cfg: SimConfig, point_idx: int, batch_idx: int,
     cw = encode(code, info)
     x = bits_to_symbols(cw, k)
     hc = draw_channels(rng, n, k, b)
-    h = real_stack(hc)
     w = rng.standard_normal((b, u, 2 * n)) * np.sqrt(nv)
-    y = np.einsum("bnm,bum->bun", h, x) + w
+    yc = receive(hc, x, w)
     if cfg.csi == "perfect":
-        obs = matched_filter(hc[:, None], y[..., :n] + 1j * y[..., n:], nv)
+        obs = matched_filter(hc[:, None], yc, nv)
     else:
         pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k))
-        obs = gram_observation_from_pilots(pilots, y)
+        obs = gram_observation_from_pilots(pilots, yc)
     if cfg.receiver == "joint":
         res = joint_detect_decode(obs, code, cfg.joint, cfg.mpd)
     else:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ldpc import LdpcCode, bp_decode_batch
-from .model import draw_channels, modulate, noise_variance
+from .model import draw_channels, modulate, noise_variance, receive
 from .mpd import (LLR_CLIP, GramObservation, MpdConfig, MpdEngine, matched_filter,
                   mpd_detect)
 
@@ -230,9 +230,9 @@ def j_inverse(info) -> np.ndarray:
     return out
 
 
-def mutual_information_histogram(llrs: np.ndarray, symbols: np.ndarray,
-                                 n_bins: int = 64) -> float:
-    """I(X; L) in bits for X in {-1,+1} equiprobable, estimated by histogram."""
+def mutual_information_histogram(llrs: np.ndarray, symbols: np.ndarray) -> float:
+    """I(X; L) in bits for X in {-1,+1} equiprobable, estimated by a 64-bin
+    histogram over the LLR range."""
     llrs = np.asarray(llrs, dtype=float).ravel()
     symbols = np.asarray(symbols, dtype=float).ravel()
     if llrs.size != symbols.size:
@@ -240,7 +240,7 @@ def mutual_information_histogram(llrs: np.ndarray, symbols: np.ndarray,
     lo, hi = llrs.min(), llrs.max()
     if hi - lo < 1e-12:
         return 0.0
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, 65)
     plus = symbols > 0
     cp, _ = np.histogram(llrs[plus], bins=edges)
     cm, _ = np.histogram(llrs[~plus], bins=edges)
@@ -256,8 +256,7 @@ def mutual_information_histogram(llrs: np.ndarray, symbols: np.ndarray,
 def measure_exit_detector(n_antennas: int, n_users: int, snr_db: float,
                           prior_info: np.ndarray, rng: np.random.Generator,
                           n_channels: int = 40, uses_per_channel: int = 16,
-                          mpd_cfg: MpdConfig | None = None,
-                          n_bins: int = 64) -> np.ndarray:
+                          mpd_cfg: MpdConfig | None = None) -> np.ndarray:
     """Extrinsic information transfer of the detector at one SNR.
 
     For each prior information value, feeds consistent Gaussian priors of
@@ -278,7 +277,7 @@ def measure_exit_detector(n_antennas: int, n_users: int, snr_db: float,
         hc = draw_channels(rng, n, k)
         x = modulate(rng.integers(0, 2, size=(uses_per_channel, m)))
         w = rng.standard_normal((uses_per_channel, n * 2)) * np.sqrt(nv)
-        yc = (x[:, :k] + 1j * x[:, k:]) @ hc.T + (w[:, :n] + 1j * w[:, n:])
+        yc = receive(hc, x, w)
         fo = matched_filter(hc, yc, nv)
         zs.append(fo.z)
         grams.append(fo.G)
@@ -297,5 +296,5 @@ def measure_exit_detector(n_antennas: int, n_users: int, snr_db: float,
             sig = float(j_inverse(min(ia, 1.0 - 1e-9)))
             prior = (sig**2 / 2.0) * x + sig * rng.standard_normal(z.shape)
         llr = engine.run(mpd_cfg, prior=prior).llr
-        out[ix] = mutual_information_histogram(llr, x, n_bins=n_bins)
+        out[ix] = mutual_information_histogram(llr, x)
     return out

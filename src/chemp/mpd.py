@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import real_stack
+from .model import gram, real_stack
 
 __all__ = [
     "GramObservation",
@@ -111,22 +111,15 @@ class BeliefState:
 def matched_filter(hc: np.ndarray, yc: np.ndarray, noise_var: float) -> GramObservation:
     """Reduce complex (hc (..., N, K), yc (..., N)) to the Gram-domain observation.
 
-    G = hc^H hc / N, symmetrised as (G + G^H) / 2 so that it is exactly
-    Hermitian with a real diagonal, and z = [Re, Im] of hc^H yc / N. The
-    filtered noise has per-component variance noise_var / N for unit-variance
-    complex gains.
+    G = `model.gram(hc)` and z = [Re, Im] of hc^H yc / N. The filtered noise
+    has per-component variance noise_var / N for unit-variance complex gains.
     """
     hc = np.asarray(hc, dtype=complex)
     yc = np.asarray(yc, dtype=complex)
     n = hc.shape[-2]
-    hh = np.conj(np.swapaxes(hc, -1, -2))
-    gram = hh @ hc
-    G = np.conj(np.swapaxes(gram, -1, -2))
-    G += gram
-    G *= 0.5 / n
-    zc = (hh @ yc[..., None])[..., 0] / n
+    zc = (np.conj(np.swapaxes(hc, -1, -2)) @ yc[..., None])[..., 0] / n
     z = np.concatenate([zc.real, zc.imag], axis=-1)
-    return GramObservation(G=G, z=z, sigma_v_sq=noise_var / n)
+    return GramObservation(G=gram(hc), z=z, sigma_v_sq=noise_var / n)
 
 
 def _logistic(L: np.ndarray) -> np.ndarray:

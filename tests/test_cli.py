@@ -79,6 +79,15 @@ def test_coded_writes_curve_files(tmp_path):
     assert curve.provenance["code"]["n"] == 64
 
 
+def test_coded_joint_aitken_needs_three_detector_passes(tmp_path):
+    # the Aitken window spans three steps of one outer round
+    rc = run(tmp_path, "coded", "--n", "8", "--k", "8", "--snr", "7",
+             "--code", "regular-3-6", "--block-length", "64", "--aitken",
+             "--detector-passes", "2")
+    assert rc == 1
+    assert not (tmp_path / "coded_joint.json").exists()
+
+
 def test_hardening_output(tmp_path):
     rc = run(tmp_path, "hardening", "--n-list", "8,16", "--realizations", "20",
              "--seed", "2")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chemp import (
-    GramMatrix,
     draw_channels,
     eigenvalue_histogram,
     gram,
@@ -18,26 +17,34 @@ from chemp import (
 
 
 def make_gram(n, k, rng):
-    return gram(real_stack(draw_channels(rng, n, k)), n)
+    """Real-stacked Gram J = real_stack(H^H H / N) of one draw."""
+    return real_stack(gram(draw_channels(rng, n, k)))
 
 
 def test_gram_is_symmetric_unit_diagonal(rng):
-    g = make_gram(128, 64, rng)
-    np.testing.assert_allclose(g.J, g.J.T)
-    assert np.mean(np.diagonal(g.J)) == pytest.approx(1.0, abs=0.05)
+    J = make_gram(128, 64, rng)
+    np.testing.assert_allclose(J, J.T)
+    assert np.mean(np.diagonal(J)) == pytest.approx(1.0, abs=0.05)
 
 
-def test_gram_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        GramMatrix(J=np.zeros((4, 6)), n_antennas=8)
+def test_gram_is_exactly_hermitian(rng):
+    G = gram(draw_channels(rng, 32, 16, 3))
+    np.testing.assert_array_equal(G, np.conj(np.swapaxes(G, -1, -2)))
+    assert np.all(np.diagonal(G, axis1=-2, axis2=-1).imag == 0.0)
+
+
+def test_gram_matches_real_stacked_product(rng):
+    hc = draw_channels(rng, 16, 8)
+    H = real_stack(hc)
+    np.testing.assert_allclose(real_stack(gram(hc)), H.T @ H / 16, rtol=1e-12, atol=1e-14)
 
 
 def test_structural_zeros_between_quadrature_pairs(rng):
     # column i and column K+i of the real stacking are exactly orthogonal
     k = 16
-    g = make_gram(64, k, rng)
+    J = make_gram(64, k, rng)
     idx = np.arange(k)
-    np.testing.assert_allclose(g.J[idx, idx + k], 0.0, atol=1e-14)
+    np.testing.assert_allclose(J[idx, idx + k], 0.0, atol=1e-14)
 
 
 def test_offdiagonal_rms_scale(rng):
@@ -52,13 +59,6 @@ def test_hardening_report_fields(rng):
     assert r.size == 64
     assert r.diag_mean == pytest.approx(1.0, abs=0.2)
     assert 0 < r.offdiag_rms <= r.offdiag_max
-
-
-def test_report_accepts_plain_array(rng):
-    g = make_gram(32, 16, rng)
-    r1 = hardening_report(g)
-    r2 = hardening_report(g.J)
-    assert r1 == r2
 
 
 def test_mp_support():

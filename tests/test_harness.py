@@ -46,6 +46,9 @@ def test_config_validation():
         tiny_cfg(receiver="map-oracle", n_antennas=32, n_users=9)
     with pytest.raises(ValueError):
         tiny_cfg(receiver="chemp-estimated", frame_length=4)  # no data uses
+    with pytest.raises(ValueError):
+        tiny_cfg(receiver="joint", code_spec="regular-3-6", mpd=MpdConfig(aitken=True),
+                 joint=JointConfig(detector_passes=2))  # Aitken window never fills
 
 
 def test_config_hash_stability_and_sensitivity():
