@@ -14,16 +14,21 @@ __all__ = ["mmse_detect", "map_oracle", "siso_awgn_ber", "qfunc"]
 def mmse_detect(obs: GramObservation):
     """Regularized linear estimate from the matched-filter statistics.
 
-    Solves (G + sigma_v^2 I) s_c = z_c, one complex K x K system per Gram
-    broadcast over any use axes of z, which is (H^T H + sigma_n^2 I) s = H^T y
-    of the real-stacked channel scaled by 1/N. Returns real (x_hat, s) with
-    s = [Re s_c, Im s_c] (..., 2K) and x_hat its signs.
+    Solves (G + sigma_v^2 I) s_c = z_c, one complex K x K LU per Gram (a Gram
+    shared by a use axis of z takes the uses as right-hand-side columns),
+    which is (H^T H + sigma_n^2 I) s = H^T y of the real-stacked channel
+    scaled by 1/N. Returns real (x_hat, s) with s = [Re s_c, Im s_c] (..., 2K)
+    and x_hat its signs.
     """
     G = obs.G
     k = G.shape[-1]
     A = G + obs.sigma_v_sq * np.eye(k)
     zc = obs.z[..., :k] + 1j * obs.z[..., k:]
-    sc = np.linalg.solve(A, zc[..., None])[..., 0]
+    if G.shape[:-2] == zc.shape[:-1]:
+        sc = np.linalg.solve(A, zc[..., None])[..., 0]
+    else:  # drop G's unit use axis; z's uses become columns
+        sc = np.linalg.solve(A.reshape(A.shape[:-3] + (k, k)), np.swapaxes(zc, -1, -2))
+        sc = np.swapaxes(sc, -1, -2)
     s = np.concatenate([sc.real, sc.imag], axis=-1)
     return np.where(s >= 0, 1.0, -1.0), s
 

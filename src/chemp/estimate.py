@@ -9,7 +9,7 @@ receiver forms the detector inputs directly from Y_p:
 
 so no explicit channel matrix estimate is needed. The diagonal correction
 removes the pilot-noise bias E[W_p^H W_p] / (N P^2) exactly. A per-entry
-linear channel estimate is provided for the estimated-CSI MMSE baseline.
+linear MMSE channel estimate is provided for the estimated-CSI MMSE baseline.
 """
 from __future__ import annotations
 
@@ -96,6 +96,7 @@ def gram_observation_from_pilots(pilots: PilotObservation, yc: np.ndarray) -> Gr
 
 
 def mmse_channel_estimate(pilots: PilotObservation) -> np.ndarray:
-    """Per-entry linear estimate Hhat = P Y_p / (P^2 + sigma_n^2), complex (..., N, K)."""
+    """Per-entry linear MMSE estimate Hhat = P Y_p / (P^2 + 2 sigma_n^2), complex
+    (..., N, K): unit-variance gains under complex noise of variance 2 sigma_n^2."""
     p = pilots.amplitude
-    return p * pilots.Y_p / (p ** 2 + pilots.noise_var)
+    return p * pilots.Y_p / (p ** 2 + 2.0 * pilots.noise_var)

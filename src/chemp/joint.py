@@ -4,9 +4,11 @@ Each of the K users transmits one codeword of length n across n/2 channel
 uses of a block-fading channel: odd-numbered code bits ride on the user's
 real symbol component, even-numbered bits on the imaginary component.
 Detector and per-user decoders exchange extrinsic information in outer
-rounds; with zero decoder passes the loop reduces exactly to the plain
-damped detector. Each round's detector passes run `MpdEngine.run`, the one
-damped loop of `mpd`.
+rounds. A codeword that satisfies its checks leaves the decoder, frozen, and
+the detector keeps reading the extrinsic it left with, so a frame's bits do
+not depend on its batch mates; with zero decoder passes each codeword is the
+plain damped detector run for its own rounds. Each round's detector passes
+run `MpdEngine.run`, the one damped loop of `mpd`.
 
 Also provides EXIT-style single-parameter tracking of the detector:
 extrinsic mutual information measured by histogram against consistent
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ldpc import LdpcCode, bp_decode_batch
+from .ldpc import LdpcCode, _ActiveSet, bp_decode_batch
 from .model import draw_channels, modulate, noise_variance, receive
 from .mpd import (LLR_CLIP, GramObservation, MpdConfig, MpdEngine, matched_filter,
                   mpd_detect)
@@ -44,9 +46,10 @@ class JointConfig:
 
     One outer round = `detector_passes` steps of the damped detector loop
     with the code extrinsics held fixed as priors, followed by
-    `decoder_passes` flooding iterations on the new detector LLRs. The
-    decoder's check-to-variable messages persist across rounds, and the
-    beliefs carry over from round to round. Damping, Aitken extrapolation
+    `decoder_passes` flooding iterations on the new detector LLRs. A
+    codeword's check-to-variable messages persist across rounds until it
+    satisfies all its checks and leaves the decoder; the detector beliefs of
+    every frame carry over from round to round. Damping, Aitken extrapolation
     (within a round) and history tracking come from `MpdConfig`; its
     `iterations` is not used. The extrinsics fed back to the detector are
     clipped to `mpd.LLR_CLIP`.
@@ -67,17 +70,14 @@ class JointConfig:
 
 @dataclass
 class JointResult:
+    """Each codeword as it left the decoder; 0 rounds for the separate baseline."""
+
     codeword_bits: np.ndarray          # (..., K, n) hard decisions
     info_bits: np.ndarray              # (..., K, k)
     success: np.ndarray                # (..., K) all checks satisfied
-    outer_rounds: int
+    outer_rounds: int                  # rounds run
+    rounds: np.ndarray                 # (..., K) round left at, else outer_rounds
     bit_llrs: np.ndarray = field(repr=False, default=None)  # (..., K, n)
-
-
-def _frame_shape(code: LdpcCode, n_users: int):
-    if code.n % 2:
-        raise ValueError("block length must be even to map onto symbol pairs")
-    return code.n // 2, 2 * n_users
 
 
 def bits_to_symbols(bits: np.ndarray, n_users: int) -> np.ndarray:
@@ -118,12 +118,14 @@ def scatter_bit_llrs(bit_llrs: np.ndarray, n_users: int) -> np.ndarray:
     return bl.reshape(bl.shape[:-2] + (2 * n_users,))
 
 
-def _as_framed(obs: GramObservation, n_uses: int):
-    """Validate that the observation batch is (..., U, 2K) with G per frame."""
+def _framing(obs: GramObservation, code: LdpcCode):
+    """User count K and frame axes of an observation batch z (..., n/2, 2K)."""
+    if code.n % 2:
+        raise ValueError("block length must be even to map onto symbol pairs")
     z = obs.z
-    if z.ndim < 2 or z.shape[-2] != n_uses:
+    if z.ndim < 2 or z.shape[-2] != code.n // 2:
         raise ValueError("observation z must carry one row per channel use")
-    return z.ndim - 2
+    return z.shape[-1] // 2, z.shape[:-2]
 
 
 def joint_detect_decode(obs: GramObservation, code: LdpcCode,
@@ -137,40 +139,32 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
     """
     cfg = cfg or JointConfig()
     mpd_cfg = mpd_cfg or MpdConfig()
-    n_users = obs.z.shape[-1] // 2
-    n_uses, _ = _frame_shape(code, n_users)
-    _as_framed(obs, n_uses)
+    n_users, lead = _framing(obs, code)
     engine = MpdEngine(obs)
-    kern = code.kernel
-    lead = obs.z.shape[:-2]
-    n_frames = int(np.prod(lead, dtype=int)) if lead else 1
+    shape = lead + (n_users,)
+    dec = _ActiveSet(code, int(np.prod(shape, dtype=int)))
+    rounds = np.full(dec.ok.shape, cfg.outer_iterations)
 
     p = engine.uniform_beliefs()
     ext_sym = np.zeros_like(obs.z)
-    c2v = kern.fresh_messages(n_frames * n_users)
-    for rounds in range(1, cfg.outer_iterations + 1):
+    for r in range(1, cfg.outer_iterations + 1):
         state = engine.run(mpd_cfg, p, ext_sym, cfg.detector_passes)
         p = state.p
-        bit_llr = gather_bit_llrs(state.llr, n_users)
-        flat = bit_llr.reshape(-1, code.n)
-        c2v = kern.iterate(flat, c2v, cfg.decoder_passes)
-        ext = kern.extrinsic(c2v)
-        post = flat + ext
-        cw = (post < 0).astype(np.uint8)
-        ok = ~np.any(code.syndrome(cw), axis=-1)
-        if ok.all():
+        flat = gather_bit_llrs(state.llr, n_users).reshape(-1, code.n)
+        rounds[dec.run(flat, cfg.decoder_passes)] = r
+        if not dec.live.size:
             break
+        # a codeword that has left feeds back the extrinsic it left with
         ext_sym = scatter_bit_llrs(
-            np.clip(ext, -LLR_CLIP, LLR_CLIP).reshape(
-                lead + (n_users, code.n)), n_users)
+            np.clip(dec.ext, -LLR_CLIP, LLR_CLIP).reshape(shape + (code.n,)), n_users)
 
-    # c2v has not changed since the last round's ext: its decisions stand
     return JointResult(
-        codeword_bits=cw.reshape(lead + (n_users, code.n)),
-        info_bits=cw[..., code.info_cols].reshape(lead + (n_users, code.k)),
-        success=ok.reshape(lead + (n_users,)),
-        outer_rounds=rounds,
-        bit_llrs=post.reshape(lead + (n_users, code.n)),
+        codeword_bits=dec.bits.reshape(shape + (code.n,)),
+        info_bits=dec.bits[..., code.info_cols].reshape(shape + (code.k,)),
+        success=dec.ok.reshape(shape),
+        outer_rounds=r,
+        rounds=rounds.reshape(shape),
+        bit_llrs=dec.post.reshape(shape + (code.n,)),
     )
 
 
@@ -179,10 +173,7 @@ def detect_then_decode(obs: GramObservation, code: LdpcCode,
                        decoder_iterations: int = 40) -> JointResult:
     """Baseline: run the detector to completion, then decode once per user."""
     mpd_cfg = mpd_cfg or MpdConfig()
-    n_users = obs.z.shape[-1] // 2
-    n_uses, _ = _frame_shape(code, n_users)
-    _as_framed(obs, n_uses)
-    lead = obs.z.shape[:-2]
+    n_users, lead = _framing(obs, code)
 
     state = mpd_detect(obs, mpd_cfg)
     bit_llr = gather_bit_llrs(state.llr, n_users)
@@ -193,6 +184,7 @@ def detect_then_decode(obs: GramObservation, code: LdpcCode,
         info_bits=bits[..., code.info_cols].reshape(lead + (n_users, code.k)),
         success=ok.reshape(lead + (n_users,)),
         outer_rounds=0,
+        rounds=np.zeros(lead + (n_users,), dtype=int),
         bit_llrs=bit_llr.reshape(lead + (n_users, code.n)),
     )
 

@@ -412,47 +412,62 @@ class SumProduct:
         # branch-free: x >= 0 takes the sign of +-0.5
         return np.copysign(x, np.subtract(0.5, neg), out=x)
 
-    def var_update(self, llrs: np.ndarray, c2v: np.ndarray) -> np.ndarray:
-        """Variable-to-check messages from (B, n) channel LLRs and incoming messages."""
-        total = self.extrinsic(c2v).T
-        total += llrs.T
-        return total[self.edge_var] - c2v
+    def var_update(self, total: np.ndarray, c2v: np.ndarray) -> np.ndarray:
+        """Variable-to-check messages from the (B, n) totals, each variable's
+        channel LLR plus all its incoming messages, and those messages."""
+        return np.ascontiguousarray(total.T)[self.edge_var] - c2v
 
     def extrinsic(self, c2v: np.ndarray) -> np.ndarray:
         """Per-variable sum of incoming check messages, (B, n)."""
         return (self.to_var @ c2v).T
 
-    def iterate(self, llrs: np.ndarray, c2v: np.ndarray, n_iters: int) -> np.ndarray:
-        """n_iters flooding iterations continuing from the given messages."""
-        for _ in range(n_iters):
-            v2c = self.var_update(llrs, c2v)
-            c2v = self.check_update(v2c)
-        return c2v
+
+class _ActiveSet:
+    """Decoder state of B rows. A row that satisfies every check leaves with its
+    extrinsic, posterior and decisions frozen, so no row depends on its batch
+    mates; check messages are kept for the live rows only."""
+
+    def __init__(self, code: LdpcCode, batch: int):
+        self.code = code
+        self.c2v = code.kernel.fresh_messages(batch)
+        self.ext = np.zeros((batch, code.n))
+        self.post = np.zeros((batch, code.n))
+        self.bits = np.zeros((batch, code.n), dtype=np.uint8)
+        self.ok = np.zeros(batch, dtype=bool)
+        self.live = np.arange(batch)
+
+    def run(self, llrs: np.ndarray, passes: int) -> np.ndarray:
+        """`passes` flooding iterations on the live rows of the (B, n) LLRs,
+        then their syndrome. Returns the rows that leave."""
+        kern, live = self.code.kernel, self.live
+        c2v, ext, llr = self.c2v, self.ext[live], llrs[live]
+        for _ in range(passes):
+            c2v = kern.check_update(kern.var_update(llr + ext, c2v))
+            ext = kern.extrinsic(c2v)
+        post = llr + ext
+        bits = (post < 0).astype(np.uint8)
+        ok = ~np.any(self.code.syndrome(bits), axis=-1)
+        self.ext[live], self.post[live], self.bits[live], self.ok[live] = ext, post, bits, ok
+        self.c2v, self.live = (c2v[:, ~ok], live[~ok]) if ok.any() else (c2v, live)
+        return live[ok]
 
 
 def bp_decode_batch(code: LdpcCode, llrs: np.ndarray, max_iters: int = 50):
     """Flooding sum-product over a (B, n) batch of channel LLR vectors.
 
-    Positive LLR means bit 0. Stops once every row satisfies all checks;
-    a clean input is recognized before any update (iterations = 0).
-    Returns (bits, ok, iterations).
+    Positive LLR means bit 0. A row leaves the decoder, its decisions frozen,
+    as soon as it satisfies all checks (a clean input before any update), so
+    its result does not depend on its batch mates. Stops when no row is left
+    or after max_iters. Returns (bits, ok, iterations run).
     """
-    kern = code.kernel
     L = np.atleast_2d(np.asarray(llrs, dtype=float))
-    bits = (L < 0).astype(np.uint8)
-    ok = ~np.any(code.syndrome(bits), axis=-1)
-    if ok.all() or max_iters == 0:
-        return bits, ok, 0
-    c2v = kern.fresh_messages(L.shape[0])
+    dec = _ActiveSet(code, L.shape[0])
+    dec.run(L, 0)
     it = 0
-    for it in range(1, max_iters + 1):
-        c2v = kern.iterate(L, c2v, 1)
-        post = L + kern.extrinsic(c2v)
-        bits = (post < 0).astype(np.uint8)
-        ok = ~np.any(code.syndrome(bits), axis=-1)
-        if ok.all():
-            break
-    return bits, ok, it
+    while dec.live.size and it < max_iters:
+        it += 1
+        dec.run(L, 1)
+    return dec.bits, dec.ok, it
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,23 @@ def test_mmse_shared_gram_matches_real_stacked_solve(rng):
     np.testing.assert_array_equal(xhat, np.where(ref >= 0, 1.0, -1.0))
 
 
+@pytest.mark.parametrize("lead", [(3,), ()])
+def test_mmse_shared_gram_matches_broadcast_solve(rng, lead):
+    # one LU per shared Gram with the uses as columns against one solve per use
+    k, uses = 16, 40
+    hc = draw_channels(rng, 32, k, lead + (1,) if lead else ())
+    nv = noise_variance(4.0, k)
+    obs, _ = observe(rng, hc, modulate(rng.integers(0, 2, lead + (uses, 2 * k))), nv)
+    assert obs.G.shape == lead + ((1,) if lead else ()) + (k, k)
+    xhat, s = mmse_detect(obs)
+    zc = obs.z[..., :k] + 1j * obs.z[..., k:]
+    sc = np.linalg.solve(obs.G + obs.sigma_v_sq * np.eye(k), zc[..., None])[..., 0]
+    ref = np.concatenate([sc.real, sc.imag], axis=-1)
+    assert s.shape == ref.shape == lead + (uses, 2 * k)
+    np.testing.assert_allclose(s, ref, rtol=1e-10)
+    np.testing.assert_array_equal(xhat, np.where(ref >= 0, 1.0, -1.0))
+
+
 def test_mmse_batched_matches_loop(rng):
     hc = draw_channels(rng, 16, 4, 6)
     obs, _ = observe(rng, hc, modulate(rng.integers(0, 2, (6, 8))), 0.7)

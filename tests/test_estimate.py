@@ -117,9 +117,20 @@ def test_mmse_channel_estimate_shrinks(rng):
     hhat = mmse_channel_estimate(pilots)
     ls = pilots.Y_p / pilots.amplitude
     assert np.linalg.norm(hhat) < np.linalg.norm(ls)
-    # shrinkage factor is P^2 / (P^2 + noise_var)
+    # shrinkage factor is P^2 / (P^2 + 2 noise_var): complex noise has variance 2 noise_var
     p2 = pilots.amplitude ** 2
-    np.testing.assert_allclose(hhat, ls * p2 / (p2 + nv), atol=1e-12)
+    np.testing.assert_allclose(hhat, ls * p2 / (p2 + 2.0 * nv), atol=1e-12)
+
+
+def test_mmse_channel_estimate_error_matches_theory():
+    # the linear MMSE error of a unit-variance gain is 2 sigma^2 / (P^2 + 2 sigma^2)
+    rng = np.random.default_rng(64)
+    nv = noise_variance(0.0, 64)
+    hc = draw_channels(rng, 64, 64, 50)
+    pilots = receive_pilots(rng, hc, nv, pilot_amplitude(64))
+    err = np.mean(np.abs(mmse_channel_estimate(pilots) - hc) ** 2)
+    p2 = pilots.amplitude ** 2
+    assert err == pytest.approx(2.0 * nv / (p2 + 2.0 * nv), rel=0.02)
 
 
 def test_mmse_channel_estimate_noiseless_is_truth(rng):

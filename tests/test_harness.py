@@ -215,15 +215,18 @@ def test_coded_sweep_estimated_csi_runs():
 # bit-for-bit guard: (bits, errors, frame_errors, trials) per SNR point of one
 # small seeded sweep per receiver, recorded before the batched channel/pilot
 # path was merged. A refactor that keeps the maths must reproduce them exactly.
+# Re-recorded where the maths changed: mmse-estimated when the channel
+# estimate took the complex noise variance 2 sigma^2 (590/156 errors before),
+# joint when converged codewords began leaving the decoder (20 and 130/58).
 
 GUARD = {
     ("mpd", None): [(2560, 62, None, 160), (4800, 5, None, 300)],
     ("mmse", None): [(1920, 71, None, 120), (4800, 22, None, 300)],
     ("chemp-estimated", None): [(5120, 589, None, 40), (5120, 81, None, 40)],
-    ("mmse-estimated", None): [(5120, 590, None, 40), (5120, 156, None, 40)],
+    ("mmse-estimated", None): [(5120, 586, None, 40), (5120, 147, None, 40)],
     ("map-oracle", None): [(2400, 56, None, 300), (2400, 1, None, 300)],
-    ("joint", "perfect"): [(4608, 20, 6, 24), (4608, 0, 0, 24)],
-    ("joint", "estimated"): [(1152, 130, 6, 6), (3456, 58, 12, 18)],
+    ("joint", "perfect"): [(4608, 23, 6, 24), (4608, 0, 0, 24)],
+    ("joint", "estimated"): [(1152, 128, 6, 6), (3456, 61, 12, 18)],
     ("separate", "perfect"): [(4608, 26, 7, 24), (4608, 0, 0, 24)],
     ("separate", "estimated"): [(1152, 169, 6, 6), (1152, 50, 5, 6)],
 }

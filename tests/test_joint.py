@@ -101,15 +101,18 @@ def test_joint_noiseless_recovery(tiny_code, rng):
 
 
 def test_joint_with_zero_decoder_passes_is_plain_detection(tiny_code, rng):
-    # with no decoder work the schedule degenerates to damped detection; the
-    # outer loop may still exit early once the hard decisions satisfy every
-    # check, so compare against a detector run of the realized length
-    obs, info, words = coded_observation(tiny_code, 16, 4, 8.0, rng)
+    # with no decoder work the schedule degenerates to damped detection; a
+    # codeword leaves once its hard decisions satisfy every check, so each
+    # codeword is compared against a detector run of its own realized length
+    obs, info, words = coded_observation(tiny_code, 16, 16, 10.0, rng)
     cfg = JointConfig(outer_iterations=12, detector_passes=1, decoder_passes=0)
     res = joint_detect_decode(obs, tiny_code, cfg)
-    state = mpd_detect(obs, MpdConfig(iterations=res.outer_rounds, damping=0.33))
-    np.testing.assert_allclose(res.bit_llrs,
-                               gather_bit_llrs(state.llr, 4), atol=1e-12)
+    assert res.rounds.shape == (16,)
+    assert len(np.unique(res.rounds)) > 3 and res.rounds.min() < res.outer_rounds
+    for user, r in enumerate(res.rounds):
+        state = mpd_detect(obs, MpdConfig(iterations=int(r), damping=0.33))
+        np.testing.assert_allclose(res.bit_llrs[user],
+                                   gather_bit_llrs(state.llr, 16)[user], atol=1e-12)
 
 
 def test_joint_beats_separate_at_moderate_snr(tiny_code, rng):
@@ -126,22 +129,24 @@ def test_joint_beats_separate_at_moderate_snr(tiny_code, rng):
 
 
 def test_joint_batched_frames(tiny_code, rng):
-    obs0, info0, _ = coded_observation(tiny_code, 16, 4, 6.0, rng)
-    obs1, info1, _ = coded_observation(tiny_code, 16, 4, 6.0, rng)
-    both = GramObservation(G=np.stack([obs0.G, obs1.G]),
-                           z=np.stack([obs0.z, obs1.z]),
-                           sigma_v_sq=obs0.sigma_v_sq)
-    cfg = JointConfig(outer_iterations=5)
+    # full loading: the last frame finishes before the round budget, the
+    # second does not, and codewords leave at different rounds
+    frames = [coded_observation(tiny_code, 8, 8, 8.0, rng)[0] for _ in range(3)]
+    both = GramObservation(G=np.stack([o.G for o in frames]),
+                           z=np.stack([o.z for o in frames]),
+                           sigma_v_sq=frames[0].sigma_v_sq)
+    cfg = JointConfig(outer_iterations=6)
     rb = joint_detect_decode(both, tiny_code, cfg)
-    r0 = joint_detect_decode(obs0, tiny_code, cfg)
-    assert rb.codeword_bits.shape == (2, 4, tiny_code.n)
-    assert rb.info_bits.shape == (2, 4, tiny_code.k)
-    assert rb.success.shape == (2, 4)
-    # batching one frame with another leaves its detector inputs unchanged;
-    # rounds may differ because the early exit is collective, so compare the
-    # first round's state only through the final decisions of its own frame
-    if rb.outer_rounds == r0.outer_rounds:
-        np.testing.assert_array_equal(rb.codeword_bits[0], r0.codeword_bits)
+    assert rb.codeword_bits.shape == (3, 8, tiny_code.n)
+    assert rb.info_bits.shape == (3, 8, tiny_code.k)
+    assert rb.success.shape == rb.rounds.shape == (3, 8)
+    assert rb.success[2].all() and rb.rounds[2].max() < rb.outer_rounds
+    assert not rb.success[1].all() and len(np.unique(rb.rounds)) > 3
+    # a frame's result does not depend on which frames share its batch
+    for i, obs in enumerate(frames):
+        alone = joint_detect_decode(obs, tiny_code, cfg)
+        for name in ("codeword_bits", "info_bits", "success", "rounds", "bit_llrs"):
+            assert np.array_equal(getattr(rb, name)[i], getattr(alone, name)), name
 
 
 def test_separate_baseline_decodes_clean_frames(tiny_code, rng):

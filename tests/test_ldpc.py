@@ -201,6 +201,24 @@ def test_decode_batch_success_implies_zero_syndrome(small_irregular):
     np.testing.assert_array_equal(ok, ~np.any(syn, axis=-1))
 
 
+def test_decode_batch_rows_do_not_depend_on_batch_mates(small_irregular):
+    code = small_irregular
+    rng = np.random.default_rng(23)
+    words = encode(code, rng.integers(0, 2, (8, code.k)))
+    x = 1.0 - 2.0 * words
+    sigma = np.array([0.0, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.0])[:, None]
+    llrs = 2.0 * (x + sigma * rng.standard_normal(x.shape)) / np.maximum(sigma, 0.5) ** 2
+    llrs[-1] = 2.5 * rng.standard_normal(code.n)  # no codeword near it
+    bits, ok, iters = bp_decode_batch(code, llrs, max_iters=30)
+    assert ok[0] and not ok[-1] and iters == 30
+    spans = []
+    for i, row in enumerate(llrs):
+        b1, ok1, it1 = bp_decode_batch(code, row, max_iters=30)
+        assert np.array_equal(b1[0], bits[i]) and ok1[0] == ok[i], i
+        spans.append(it1)
+    assert spans[0] == 0 and spans[-1] == 30 and len(set(spans)) > 3
+
+
 def test_zero_iteration_budget(small_regular):
     llr = np.ones((3, small_regular.n))
     bits, ok, iters = bp_decode_batch(small_regular, llr, max_iters=0)
@@ -263,7 +281,7 @@ def test_kernel_bit_identical_to_code_order_formulas(irregular_1000):
     for _ in range(4):  # outer rounds carrying the check messages
         llrs = rng.normal(0.0, 6.0, (b, code.n))
         v2c_ref = ref.var_update(llrs, c2v_ref)
-        v2c = kern.var_update(llrs, c2v)
+        v2c = kern.var_update(llrs + kern.extrinsic(c2v), c2v)
         assert np.array_equal(v2c, rows(v2c_ref))
         # saturating, tiny and zero messages hit both clips
         v2c_ref[:, ::5] *= 30.0
@@ -299,7 +317,8 @@ def test_var_update_excludes_own_message():
     # the degree-2 block holds slot 0 of both checks, then slot 1
     np.testing.assert_array_equal(kern.order, [0, 2, 1, 3])
     c2v_code = np.array([0.3, 0.7, -0.4, 0.1])  # edges sorted by (check, variable)
-    rows = kern.var_update(llrs, c2v_code[kern.order, None])
+    c2v = c2v_code[kern.order, None]
+    rows = kern.var_update(llrs + kern.extrinsic(c2v), c2v)
     out = np.empty((1, 4))
     out[0, kern.order] = rows[:, 0]
     # variable 1 sits on both checks; each outgoing message uses the other's input
