@@ -4,7 +4,6 @@ under the same SNR convention."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc
 
 from .mpd import GramObservation
 
@@ -59,6 +58,8 @@ def map_oracle(obs: GramObservation) -> np.ndarray:
 
 def qfunc(x) -> np.ndarray:
     """Gaussian tail probability Q(x)."""
+    from scipy.special import erfc  # imported here: no sweep needs scipy.special
+
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 

@@ -296,6 +296,7 @@ def _cmd_code_build(args, argv) -> int:
     print(f"  n {code.n}  k {code.k}  rate {code.k / code.n:.3f}  edges {code.n_edges}")
     print(f"  variable degrees {code.variable_degree_histogram()}")
     print(f"  check degrees    {code.check_degree_histogram()}")
+    print(f"  4-cycles         {code.four_cycles()}")
     return 0
 
 

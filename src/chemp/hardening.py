@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .model import gram
 
@@ -76,6 +75,8 @@ def mp_density(x, alpha: float) -> np.ndarray:
 
 
 def _mp_cdf_scalar(x: float, alpha: float) -> float:
+    from scipy import integrate  # imported here: no sweep needs scipy.integrate
+
     a, b = mp_support(alpha)
     if x <= a:
         return 0.0

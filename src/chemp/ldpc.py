@@ -5,10 +5,12 @@ Node-perspective degree profiles list (degree, fraction-of-nodes) pairs.
 Construction realizes the integer node counts by largest-remainder rounding,
 then reconciles the two sides' edge totals by re-selecting which classes
 round up, keeping every class within one node of its real-valued target.
-Edges are placed variable by variable, each new edge attached to a check node
-at maximal graph distance from the variable's current tree (breaking ties
-toward spare target capacity, then low degree), which avoids short cycles and
-parallel edges by construction.
+Edges are placed variable by variable. Each new edge goes to a check with
+spare target capacity if one is left; among those, to one at maximal graph
+distance from the variable's current tree, then to low degree, then at random.
+That rules out parallel edges but not short cycles: distance only breaks ties
+after capacity, so a profile with high-degree checks keeps hundreds of
+4-cycles (`LdpcCode.four_cycles` counts them).
 """
 from __future__ import annotations
 
@@ -143,6 +145,13 @@ class LdpcCode:
         degs = np.bincount(self.edge_chk, minlength=self.m)
         return _histogram(degs)
 
+    def four_cycles(self) -> int:
+        """Number of 4-cycles in the Tanner graph: two checks that share s
+        variables close C(s, 2) of them."""
+        h = self.parity_check.astype(np.int64)
+        s = sparse.triu(h @ h.T, k=1).data
+        return int((s * (s - 1) // 2).sum())
+
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
         bits = np.asarray(bits, dtype=np.uint8)
         return np.asarray(self.parity_check.dot(bits.T) % 2, dtype=np.uint8).T
@@ -241,68 +250,60 @@ def build_code(profile: DegreeProfile, n: int, rng: np.random.Generator) -> Ldpc
         grow = np.argsort(capacity)[-slack:]
         capacity[grow] += 1
 
-    max_vd = int(var_degree.max())
-    max_cd = int(capacity.max()) + max(0, slack)
-    vt = -np.ones((n, max_vd), dtype=np.int64)
-    ct = -np.ones((m, max_cd + 1), dtype=np.int64)
-    vdeg = np.zeros(n, dtype=np.int64)
+    vt = -np.ones((n, int(var_degree.max())), dtype=np.int64)
     cdeg = np.zeros(m, dtype=np.int64)
-    far = m + 1  # distance label for checks outside the variable's tree
+    # check-to-check adjacency (two checks share a variable), one bit per check
+    # in np.packbits order, each row padded to whole 64-bit words
+    link = np.zeros((m, -(-m // 64) * 8), dtype=np.uint8)
+    words = link.view(np.uint64)
 
-    def pick(v: int, dist: np.ndarray) -> int:
-        """Spare target capacity is a hard preference; distance breaks ties."""
-        adj = np.zeros(m, dtype=bool)
-        adj[vt[v, :vdeg[v]]] = True
-        pool = np.flatnonzero(~adj & (cdeg < capacity))
-        if pool.size == 0:
-            pool = np.flatnonzero(~adj)
-        d = dist[pool]
-        pool = pool[d == d.max()]
-        degs = cdeg[pool]
-        best = pool[degs == degs.min()]
+    def pick(mine: np.ndarray) -> int:
+        """Spare target capacity is the hard preference; distance from the
+        variable's checks `mine` only breaks ties, then low degree, then the RNG."""
+        pool = np.ones(m, dtype=bool)
+        pool[mine] = False
+        spare = pool & (cdeg < capacity)
+        if spare.any():
+            pool = spare
+        best = _farthest(words, mine, pool).nonzero()[0]
+        degs = cdeg[best]
+        best = best[degs == degs.min()]
         return int(best[rng.integers(best.size)]) if best.size > 1 else int(best[0])
 
     for v in range(n):
-        for _ in range(var_degree[v]):
-            if vdeg[v] == 0:
-                dist = np.full(m, far)
-            else:
-                dist = _check_distances(v, vt, vdeg, ct, cdeg, m, far)
-            c = pick(v, dist)
-            vt[v, vdeg[v]] = c
-            ct[c, cdeg[c]] = v
-            vdeg[v] += 1
+        for j in range(var_degree[v]):
+            mine = vt[v, :j]
+            c = pick(mine)
+            # c now shares v with each of v's earlier checks
+            np.bitwise_or.at(link[c], mine >> 3, (128 >> (mine & 7)).astype(np.uint8))
+            link[mine, c >> 3] |= np.uint8(128 >> (c & 7))
+            vt[v, j] = c
             cdeg[c] += 1
 
-    var_ids = np.concatenate([ct[c, :cdeg[c]] for c in range(m)])
-    chk_ids = np.repeat(np.arange(m), cdeg)
-    h = sparse.csr_matrix((np.ones(var_ids.size, dtype=np.uint8), (chk_ids, var_ids)),
+    placed = vt >= 0
+    chk = vt[placed]
+    h = sparse.csr_matrix((np.ones(chk.size, dtype=np.uint8), (chk, np.nonzero(placed)[0])),
                           shape=(m, n))
     return code_from_parity_check(h)
 
 
-def _check_distances(v, vt, vdeg, ct, cdeg, m, far) -> np.ndarray:
-    """Graph distance (in check hops) from v to every check; `far` if unreached."""
-    dist = np.full(m, far, dtype=np.int64)
-    frontier = vt[v, :vdeg[v]]
-    dist[frontier] = 0
-    seen_v = np.zeros(vt.shape[0], dtype=bool)
-    seen_v[v] = True
-    level = 0
+def _farthest(words: np.ndarray, roots: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Mask of the `pool` checks farthest, in check hops, from the checks `roots`
+    (all the unreachable ones if any): a breadth-first search on the packed
+    check adjacency `words`, one row gather and OR-reduce per level, that stops
+    once every pool check has a distance."""
+    m = words.shape[0]
+    unreached = np.ones(m, dtype=bool)
+    unreached[roots] = False
+    frontier = roots
     while frontier.size:
-        level += 1
-        vs = ct[frontier].ravel()
-        vs = vs[vs >= 0]
-        vs = np.unique(vs[~seen_v[vs]])
-        if vs.size == 0:
-            break
-        seen_v[vs] = True
-        cs = vt[vs].ravel()
-        cs = cs[cs >= 0]
-        cs = np.unique(cs[dist[cs] == far])
-        dist[cs] = level
-        frontier = cs
-    return dist
+        hit = np.unpackbits(np.bitwise_or.reduce(words[frontier]).view(np.uint8), count=m)
+        new = hit.view(bool) & unreached
+        unreached ^= new
+        if not (pool & unreached).any():
+            return pool & new
+        frontier = new.nonzero()[0]
+    return pool & unreached
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Reference detectors and the single-antenna error-rate benchmark."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chemp
 from chemp import (
     GramObservation,
     draw_channels,
@@ -151,6 +155,18 @@ def test_qfunc_values():
     assert qfunc(1.96) == pytest.approx(0.025, abs=1e-3)
     assert qfunc(np.inf) == 0.0
     assert qfunc(-np.inf) == 1.0
+
+
+def test_import_loads_no_scipy_special_or_integrate():
+    # qfunc and mp_cdf import them on first call; no sweep calls either
+    code = ("import sys, chemp; "
+            "print([m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(chemp.__file__))  # this chemp, not an installed one
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_siso_awgn_ber_formula():

@@ -145,10 +145,11 @@ def test_opcount_output(tmp_path, capsys):
     assert (tmp_path / "opcount.csv").exists()
 
 
-def test_code_build_alist_round_trip(tmp_path):
+def test_code_build_alist_round_trip(tmp_path, capsys):
     rc = run(tmp_path, "code-build", "--code", "regular-3-6",
              "--block-length", "128", "--seed", "7")
     assert rc == 0
+    assert "4-cycles" in capsys.readouterr().out
     path = tmp_path / "regular-3-6_n128.alist"
     assert path.exists()
     h = read_alist(str(path))

@@ -1,5 +1,8 @@
 """Code construction, encoding, and the sum-product decoder."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -101,6 +104,58 @@ def test_build_code_regular(small_regular):
 def test_build_code_no_parallel_edges(small_irregular):
     h = small_irregular.parity_check.toarray()
     assert h.max() == 1
+
+
+# SHA-256 over edge_chk, edge_var, pivot_cols and encode_mat of codes built by
+# the per-edge breadth-first PEG this construction replaced; the same RNG
+# stream must keep giving the same code
+BUILD_PINS = [
+    ("n128-alpha1", 1000, 0, "517016515524d24e67c0cade89f6913fc5984d920afe99ed58e185d13d51c275"),
+    ("n128-alpha1", 1000, 3, "3100d174751d9f471c94282d79b791669fb1225c53d80c847d6f8bd70ee22cc7"),
+    ("n128-alpha1", 256, 11, "32031ef78a7dd65cac2f2bccbdddd45f77b35a510cdb855683927dfdf608f719"),
+    ("regular-3-6", 256, 7, "400e2c4fa602fbc11a766752c625d3446dfc2eb04dc163436ef5f75556e686b8"),
+    ("n128-alpha05", 1000, 0, "94cb421fb58c1c43c277238801dd10f063c1928d76e8f2f1573572b97da134f5"),
+    ("n128-alpha0125", 1000, 0, "ec7dde05d97ddd55d2110f5d8ddec518d944c847dd78a807b9020854f46f9bbb"),
+]
+
+
+@pytest.mark.parametrize("spec,n,seed,digest", BUILD_PINS,
+                         ids=[f"{spec}-n{n}-seed{seed}" for spec, n, seed, _ in BUILD_PINS])
+def test_build_code_reproduces_pinned_codes(spec, n, seed, digest):
+    profile = regular_profile(3, 6) if spec == "regular-3-6" else TABLE_PROFILES[spec]
+    code = build_code(profile, n, np.random.default_rng(seed))
+    h = hashlib.sha256()
+    for a in (code.edge_chk, code.edge_var, code.pivot_cols, code.encode_mat):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == digest
+
+
+def _four_cycles_by_enumeration(h: np.ndarray) -> int:
+    """Every node set {c1, c2, v1, v2} with all four edges present, listed."""
+    checks_of = [set(np.flatnonzero(col)) for col in h.T]
+    cycles = set()
+    for c1, row in enumerate(h):
+        for v1, v2 in itertools.combinations(np.flatnonzero(row), 2):
+            for c2 in (checks_of[v1] & checks_of[v2]) - {c1}:
+                cycles.add((min(c1, c2), max(c1, c2), v1, v2))
+    return len(cycles)
+
+
+def test_four_cycles_match_enumeration():
+    code = build_code(TABLE_PROFILES["n128-alpha1"], 128, np.random.default_rng(5))
+    count = code.four_cycles()
+    assert count > 0
+    assert count == _four_cycles_by_enumeration(code.parity_check.toarray())
+
+
+def test_four_cycles_hand_built():
+    # checks 0 and 1 share variables 0 and 1; checks 1 and 2 share only variable 2
+    one = np.array([[1, 1, 0, 0], [1, 1, 1, 0], [0, 0, 1, 1]], dtype=np.uint8)
+    assert code_from_parity_check(one).four_cycles() == 1
+    # two checks sharing three variables close C(3, 2) = 3
+    three = np.array([[1, 1, 1, 0], [1, 1, 1, 1]], dtype=np.uint8)
+    assert code_from_parity_check(three).four_cycles() == 3
+    assert code_from_parity_check(np.eye(3, dtype=np.uint8)).four_cycles() == 0
 
 
 def test_build_code_input_validation():
