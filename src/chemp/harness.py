@@ -148,18 +148,34 @@ class BerCurve:
                    provenance=doc["provenance"])
 
 
-def _ci_halfwidth(errors: int, bits: int) -> float:
+def _ci_halfwidth(errors: int, bits: int, codewords: int | None = None,
+                  sq_errors: int = 0) -> float:
+    """95% half-width of the BER errors / bits.
+
+    Uncoded bits fail independently: the binomial half-width. Coded errors
+    come in failed codewords, so a coded point passes its `codewords` count
+    (bits / codewords info bits each) and sq_errors = sum of e_c^2 over their
+    info-bit error counts e_c, and gets the codeword-clustered half-width:
+    that of the mean of the per-codeword error fractions. A single codeword
+    has no spread to measure and gets the binomial one.
+    """
     if bits == 0:
         return 0.0
-    p = errors / bits
-    return 1.96 * np.sqrt(max(p * (1.0 - p), 0.0) / bits)
+    if codewords is None or codewords < 2:
+        p = errors / bits
+        return 1.96 * np.sqrt(max(p * (1.0 - p), 0.0) / bits)
+    m = bits / codewords
+    spread = (sq_errors - errors ** 2 / codewords) / (m ** 2 * (codewords - 1))
+    return 1.96 * np.sqrt(max(spread, 0.0) / codewords)
 
 
-def _make_point(snr_db, bits, errors, trials, frames=None, frame_errors=None) -> BerPoint:
+def _make_point(snr_db, bits, errors, trials, frames=None, frame_errors=None,
+                codewords=None, sq_errors=0) -> BerPoint:
     ber = errors / bits if bits else 0.0
     return BerPoint(
         snr_db=float(snr_db), bits=int(bits), errors=int(errors), ber=float(ber),
-        ci_halfwidth=float(_ci_halfwidth(errors, bits)), trials=int(trials),
+        ci_halfwidth=float(_ci_halfwidth(errors, bits, codewords, sq_errors)),
+        trials=int(trials),
         reliable=bool(errors >= 10), frames=frames, frame_errors=frame_errors,
         fer=(frame_errors / frames if frames else None),
     )
@@ -205,7 +221,8 @@ def _uncoded_batch(cfg: SimConfig, point_idx: int, batch_idx: int, n_trials: int
 
 def _coded_batch(code: LdpcCode, cfg: SimConfig, point_idx: int, batch_idx: int,
                  n_trials: int):
-    """One batch of coded frames; returns (bits, errors, frames, frame_errors)."""
+    """One batch of coded frames; returns (bits, errors, frames, frame_errors,
+    sum over codewords of the squared info-bit error count)."""
     rng = _batch_rng(cfg.seed, point_idx, batch_idx)
     n, k = cfg.n_antennas, cfg.n_users
     nv = noise_variance(cfg.snr_db[point_idx], k)
@@ -226,10 +243,10 @@ def _coded_batch(code: LdpcCode, cfg: SimConfig, point_idx: int, batch_idx: int,
         res = joint_detect_decode(obs, code, cfg.joint, cfg.mpd)
     else:
         res = detect_then_decode(obs, code, cfg.mpd, cfg.decoder_iterations)
-    wrong = res.info_bits != info
-    errors = int(wrong.sum())
-    frame_errors = int(np.any(wrong, axis=(-2, -1)).sum())
-    return b * k * code.k, errors, b, frame_errors
+    per_codeword = np.sum(res.info_bits != info, axis=-1)
+    errors = int(per_codeword.sum())
+    frame_errors = int(np.any(per_codeword, axis=-1).sum())
+    return b * k * code.k, errors, b, frame_errors, int(np.sum(per_codeword ** 2))
 
 
 def _accumulate(cfg: SimConfig, point_idx: int, batch_fn, workers: int):
@@ -326,8 +343,9 @@ def run_coded_sweep(cfg: SimConfig, workers: int = 1, code: LdpcCode | None = No
     batch_fn = functools.partial(_coded_batch, code)
     points = []
     for pi, snr in enumerate(cfg.snr_db):
-        bits, errors, frames, fe = _accumulate(cfg, pi, batch_fn, workers)
-        points.append(_make_point(snr, bits, errors, frames, frames, fe))
+        bits, errors, frames, fe, sq = _accumulate(cfg, pi, batch_fn, workers)
+        points.append(_make_point(snr, bits, errors, frames, frames, fe,
+                                  frames * cfg.n_users, sq))
     extra = {"code": {"spec": cfg.code_spec, "n": code.n, "k": code.k,
                       "edges": int(code.n_edges)}}
     return BerCurve(receiver=cfg.receiver, points=points, provenance=_provenance(cfg, extra))

@@ -150,7 +150,8 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
     for r in range(1, cfg.outer_iterations + 1):
         state = engine.run(mpd_cfg, p, ext_sym, cfg.detector_passes)
         p = state.p
-        flat = gather_bit_llrs(state.llr, n_users).reshape(-1, code.n)
+        # the float32 detector LLRs enter the float64 decoder
+        flat = gather_bit_llrs(state.llr.astype(float), n_users).reshape(-1, code.n)
         rounds[dec.run(flat, cfg.decoder_passes)] = r
         if not dec.live.size:
             break
@@ -176,7 +177,7 @@ def detect_then_decode(obs: GramObservation, code: LdpcCode,
     n_users, lead = _framing(obs, code)
 
     state = mpd_detect(obs, mpd_cfg)
-    bit_llr = gather_bit_llrs(state.llr, n_users)
+    bit_llr = gather_bit_llrs(state.llr.astype(float), n_users)
     flat = bit_llr.reshape(-1, code.n)
     bits, ok, _ = bp_decode_batch(code, flat, decoder_iterations)
     return JointResult(

@@ -36,8 +36,13 @@ def draw_channels(rng: np.random.Generator, n: int, k: int, batch=()) -> np.ndar
     if k > n:
         raise ValueError("overloaded system (K > N) is not supported")
     shape = ((batch,) if np.ndim(batch) == 0 else tuple(batch)) + (n, k)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return g / np.sqrt(2.0)
+    # real parts first, as in standard_normal(shape) + 1j * standard_normal(shape),
+    # written in place: the same values without the temporaries
+    g = np.empty(shape, complex)
+    g.real = rng.standard_normal(shape)
+    g.imag = rng.standard_normal(shape)
+    g /= np.sqrt(2.0)
+    return g
 
 
 def gram(hc: np.ndarray) -> np.ndarray:

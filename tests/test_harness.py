@@ -19,6 +19,7 @@ from chemp import (
     run_coded_sweep,
     run_uncoded_sweep,
 )
+from chemp.harness import _ci_halfwidth, _coded_batch
 from chemp.ldpc import TABLE_PROFILES
 
 
@@ -209,6 +210,35 @@ def test_coded_sweep_worker_invariance_and_receivers():
 def test_coded_sweep_estimated_csi_runs():
     curve = run_coded_sweep(coded_cfg(csi="estimated", max_trials=10))
     assert curve.points[0].frames == 10
+
+
+def test_coded_halfwidth_clusters_errors_by_codeword():
+    # 100 codewords of 500 info bits, 250 errors: all in one codeword, the
+    # clustered half-width is many times the binomial one; one error in each
+    # of 100 codewords leaves no spread; binomial errors give about the
+    # binomial width
+    bits, cws = 50_000, 100
+    binomial = _ci_halfwidth(250, bits)
+    assert binomial == pytest.approx(1.96 * np.sqrt(0.005 * 0.995 / bits))
+    lumped = _ci_halfwidth(250, bits, cws, 250 ** 2)
+    assert lumped == pytest.approx(1.96 * np.sqrt((0.25 - cws * 0.005 ** 2) / (cws - 1) / cws))
+    assert lumped > 10 * binomial
+    assert _ci_halfwidth(100, bits, cws, 100) == 0.0
+    e = np.random.default_rng(5).binomial(500, 0.005, cws)
+    spread = _ci_halfwidth(int(e.sum()), bits, cws, int(np.sum(e ** 2)))
+    assert spread == pytest.approx(_ci_halfwidth(int(e.sum()), bits), rel=0.2)
+    # one codeword has no spread to measure: binomial
+    assert _ci_halfwidth(3, 500, 1, 9) == _ci_halfwidth(3, 500)
+
+
+def test_coded_sweep_point_uses_codeword_halfwidth():
+    cfg = coded_cfg(max_trials=10, batch_size=10)
+    p = run_coded_sweep(cfg).points[0]
+    bits, errors, frames, frame_errors, sq = _coded_batch(build_sweep_code(cfg), cfg, 0, 0, 10)
+    assert (p.bits, p.errors, p.frames, p.frame_errors) == (bits, errors, frames, frame_errors)
+    assert p.errors > 0 and sq >= p.errors
+    assert p.ci_halfwidth == _ci_halfwidth(errors, bits, frames * cfg.n_users, sq)
+    assert p.ci_halfwidth != _ci_halfwidth(errors, bits)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,21 @@ def test_channel_shape_and_variance(rng):
         draw_channels(rng, 16, 32)  # overloaded
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_channel_draw_matches_summed_expression(seed):
+    # the in-place draw reproduces (a + 1j b) / sqrt(2) bit for bit, signs of
+    # zeros included, and leaves the generator in the same state
+    shape = (4, 16, 8)
+    rng = np.random.default_rng(seed)
+    new = draw_channels(rng, 16, 8, 4)
+    ref = np.random.default_rng(seed)
+    old = (ref.standard_normal(shape) + 1j * ref.standard_normal(shape)) / np.sqrt(2.0)
+    assert np.array_equal(new, old)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(new, part)), np.signbit(getattr(old, part)))
+    assert rng.random() == ref.random()
+
+
 def test_real_stacking_block_structure(rng):
     hc = draw_channels(rng, 8, 4)
     H = real_stack(hc)
