@@ -146,18 +146,24 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
     rounds = np.full(dec.ok.shape, cfg.outer_iterations)
 
     p = engine.uniform_beliefs()
-    ext_sym = np.zeros_like(obs.z)
+    ext_sym = np.zeros_like(engine.z)
+    # ext_sym as (frame, use, component, user): codeword row f * K + k of the
+    # decoder is [f, :, :, k], its bits in use-major order
+    ext_rows = ext_sym.reshape(-1, code.n // 2, 2, n_users)
     for r in range(1, cfg.outer_iterations + 1):
         state = engine.run(mpd_cfg, p, ext_sym, cfg.detector_passes)
         p = state.p
-        # the float32 detector LLRs enter the float64 decoder
-        flat = gather_bit_llrs(state.llr.astype(float), n_users).reshape(-1, code.n)
+        # the float32 detector LLRs enter the decoder, which runs in the same DTYPE
+        flat = gather_bit_llrs(state.llr, n_users).reshape(-1, code.n)
+        ran = dec.live
         rounds[dec.run(flat, cfg.decoder_passes)] = r
         if not dec.live.size:
             break
-        # a codeword that has left feeds back the extrinsic it left with
-        ext_sym = scatter_bit_llrs(
-            np.clip(dec.ext, -LLR_CLIP, LLR_CLIP).reshape(shape + (code.n,)), n_users)
+        # only the rows that ran have a new extrinsic; a codeword that has
+        # left keeps feeding back the one it left with
+        ext_rows[ran // n_users, :, :, ran % n_users] = np.clip(
+            dec.ext[ran], -LLR_CLIP, LLR_CLIP).reshape(-1, code.n // 2, 2)
+    dec.finish(flat)
 
     return JointResult(
         codeword_bits=dec.bits.reshape(shape + (code.n,)),
@@ -177,7 +183,7 @@ def detect_then_decode(obs: GramObservation, code: LdpcCode,
     n_users, lead = _framing(obs, code)
 
     state = mpd_detect(obs, mpd_cfg)
-    bit_llr = gather_bit_llrs(state.llr.astype(float), n_users)
+    bit_llr = gather_bit_llrs(state.llr, n_users)
     flat = bit_llr.reshape(-1, code.n)
     bits, ok, _ = bp_decode_batch(code, flat, decoder_iterations)
     return JointResult(

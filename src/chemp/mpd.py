@@ -27,8 +27,11 @@ result does not depend on which other trials share its batch.
 
 Working precision: the engine keeps the off-diagonal J, its square, the
 diagonal and z in float32 (`DTYPE`) and runs every step in it, which halves
-the bytes a step reads and doubles the width of its vector products; the
-observation, the other receivers and the decoder stay float64. Float32
+the bytes a step reads and doubles the width of its vector products; its
+entry points cast beliefs and priors to `DTYPE`, so a float64 input cannot
+promote a step. The coded receiver is float32 end to end: the LDPC decoder
+(`ldpc.SumProduct`) runs in the same `DTYPE` and takes the detector LLRs
+as they are. The observation and the other receivers stay float64. Float32
 rounds each term to a relative 6e-8, and a sum over 2K terms to at most
 about 2K times that, so an LLR moves by about 1e-4 at the clip bound. The
 Gaussian approximation the detector rests on is coarser by orders of
@@ -202,7 +205,8 @@ class MpdEngine:
         return np.full(self.z.shape, 0.5, DTYPE)
 
     def llr(self, p: np.ndarray) -> np.ndarray:
-        """Extrinsic LLR of every symbol given the others' beliefs."""
+        """Extrinsic LLR of every symbol given the others' beliefs, in `DTYPE`."""
+        p = np.asarray(p, dtype=DTYPE)
         s = 2.0 * p - 1.0
         q = 4.0 * p * (1.0 - p)
         v, w = self.v, self.w
@@ -219,10 +223,12 @@ class MpdEngine:
 
     def step(self, p: np.ndarray, damping: float,
              extrinsic_llr: np.ndarray | None = None):
-        """One damped update. Returns (L, new_p); L excludes extrinsic_llr."""
+        """One damped update in `DTYPE`. Returns (L, new_p); L excludes
+        extrinsic_llr."""
+        p = np.asarray(p, dtype=DTYPE)
         L = self.llr(p)
-        total = L if extrinsic_llr is None else np.clip(L + extrinsic_llr,
-                                                        -LLR_CLIP, LLR_CLIP)
+        total = L if extrinsic_llr is None else np.clip(
+            L + np.asarray(extrinsic_llr, dtype=DTYPE), -LLR_CLIP, LLR_CLIP)
         p_new = (1.0 - damping) * _logistic(total) + damping * p
         return L, p_new
 

@@ -247,7 +247,10 @@ def test_coded_sweep_point_uses_codeword_halfwidth():
 # path was merged. A refactor that keeps the maths must reproduce them exactly.
 # Re-recorded where the maths changed: mmse-estimated when the channel
 # estimate took the complex noise variance 2 sigma^2 (590/156 errors before),
-# joint when converged codewords began leaving the decoder (20 and 130/58).
+# joint when converged codewords began leaving the decoder (20 and 130/58),
+# separate-estimated when the decoder went to float32 (50 errors at 5 dB
+# before: BER 4.34e-2 against 4.25e-2, codeword-clustered 95% half-widths
+# 2.49e-2 and 2.46e-2).
 
 GUARD = {
     ("mpd", None): [(2560, 62, None, 160), (4800, 5, None, 300)],
@@ -258,7 +261,7 @@ GUARD = {
     ("joint", "perfect"): [(4608, 23, 6, 24), (4608, 0, 0, 24)],
     ("joint", "estimated"): [(1152, 128, 6, 6), (3456, 61, 12, 18)],
     ("separate", "perfect"): [(4608, 26, 7, 24), (4608, 0, 0, 24)],
-    ("separate", "estimated"): [(1152, 169, 6, 6), (1152, 50, 5, 6)],
+    ("separate", "estimated"): [(1152, 169, 6, 6), (1152, 49, 5, 6)],
 }
 
 

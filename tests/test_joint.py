@@ -115,15 +115,16 @@ def test_joint_with_zero_decoder_passes_is_plain_detection(tiny_code, rng):
                                    gather_bit_llrs(state.llr, 16)[user], atol=1e-12)
 
 
-def test_decoders_read_float64_llrs(tiny_code, rng):
-    # the detector runs in float32; both receivers hand the decoder, and
-    # return, float64 bit LLRs
+def test_decoders_run_in_float32(tiny_code, rng):
+    # one precision policy: the float32 detector LLRs enter the float32
+    # decoder as they are, and both receivers return float32 bit LLRs
     obs, info, words = coded_observation(tiny_code, 16, 8, 6.0, rng)
     assert mpd_detect(obs, MpdConfig(iterations=2)).llr.dtype == np.float32
+    assert tiny_code.kernel.fresh_messages(3).dtype == np.float32
     joint = joint_detect_decode(obs, tiny_code, JointConfig(outer_iterations=3))
     separate = detect_then_decode(obs, tiny_code, MpdConfig(iterations=3), 5)
     for res in (joint, separate):
-        assert res.bit_llrs.dtype == np.float64
+        assert res.bit_llrs.dtype == np.float32
         assert res.bit_llrs.shape == (8, tiny_code.n)
 
 

@@ -285,34 +285,46 @@ def test_zero_iteration_budget(small_regular):
 # message kernels
 
 
+# the check update's clips: input magnitudes to [float32 tiny, 40], and
+# leave-one-out sums to [1e-15, phi(tiny)], so outputs stay within 35.2
+_MSG_MIN, _MSG_MAX = float(np.finfo(np.float32).tiny), 40.0
+
+
+def _phi64(x):
+    return np.log1p(2.0 / np.expm1(x))
+
+
 class _CodeOrderKernel:
     """The sum-product formulas on (B, n_edges) messages in the code's edge
-    order, with sparse check and variable sums: the reference the
-    degree-grouped kernel must reproduce bit for bit."""
+    order. Variable sums are sparse float32 sums in check order, which the
+    kernel must reproduce bit for bit; the check update is a float64
+    phi-domain reference with exact leave-one-out sums (a prefix plus a
+    suffix sum over each check's edges), which it must reproduce to float32
+    accuracy."""
 
     def __init__(self, code):
         e = code.n_edges
-        ones = np.ones(e)
-        self.to_chk = sparse.csr_matrix((ones, (code.edge_chk, np.arange(e))),
-                                        shape=(code.m, e))
+        ones = np.ones(e, np.float32)
         self.to_var = sparse.csr_matrix((ones, (code.edge_var, np.arange(e))),
                                         shape=(code.n, e))
         self.edge_var = code.edge_var
-        self.edge_chk = code.edge_chk
+        self.checks = np.split(np.arange(e), np.cumsum(np.bincount(code.edge_chk))[:-1])
 
     def check_update(self, v2c):
-        t = np.tanh(np.clip(v2c, -40.0, 40.0) / 2.0)
-        mag = np.abs(t)
-        np.clip(mag, 1e-30, 1.0 - 1e-15, out=mag)
-        log_mag = np.log(mag)
-        neg = (t < 0).astype(np.float64)
-        log_sum = (self.to_chk @ log_mag.T).T
-        neg_sum = (self.to_chk @ neg.T).T
-        lo_log = log_sum[:, self.edge_chk] - log_mag
-        lo_neg = np.rint(neg_sum[:, self.edge_chk] - neg).astype(np.int64)
-        prod = np.exp(np.minimum(lo_log, 0.0))
-        np.clip(prod, None, 1.0 - 1e-15, out=prod)
-        return np.where(lo_neg % 2 == 0, 1.0, -1.0) * 2.0 * np.arctanh(prod)
+        v2c = np.asarray(v2c, dtype=np.float64)
+        f = _phi64(np.clip(np.abs(v2c), _MSG_MIN, _MSG_MAX))
+        neg = (v2c < 0).astype(np.int64)
+        loo = np.empty_like(f)
+        odd = np.empty_like(neg)
+        for edges in self.checks:
+            fc = f[:, edges]
+            pre = np.concatenate([np.zeros_like(fc[:, :1]), np.cumsum(fc, axis=1)[:, :-1]], axis=1)
+            suf = np.concatenate([np.cumsum(fc[:, ::-1], axis=1)[:, -2::-1],
+                                  np.zeros_like(fc[:, :1])], axis=1)
+            loo[:, edges] = pre + suf
+            odd[:, edges] = neg[:, edges].sum(axis=1, keepdims=True) - neg[:, edges]
+        loo = np.clip(loo, 1e-15, _phi64(_MSG_MIN))
+        return np.where(odd % 2, -1.0, 1.0) * _phi64(loo)
 
     def var_update(self, llrs, c2v):
         return (llrs + self.extrinsic(c2v))[:, self.edge_var] - c2v
@@ -321,7 +333,7 @@ class _CodeOrderKernel:
         return (self.to_var @ c2v.T).T
 
 
-def test_kernel_bit_identical_to_code_order_formulas(irregular_1000):
+def test_kernel_matches_float64_phi_reference(irregular_1000):
     code = irregular_1000
     assert set(code.check_degree_histogram()) == {6, 12, 18}
     kern, ref = code.kernel, _CodeOrderKernel(code)
@@ -329,25 +341,41 @@ def test_kernel_bit_identical_to_code_order_formulas(irregular_1000):
     def rows(msgs):  # (B, n_edges) in code order -> the kernel's (n_edges, B) rows
         return np.ascontiguousarray(msgs[:, kern.order].T)
 
+    def code_order(msgs):  # the inverse
+        out = np.empty(msgs.shape[::-1], msgs.dtype)
+        out[:, kern.order] = msgs.T
+        return out
+
     rng = np.random.default_rng(29)
     b = 12
-    c2v_ref = np.zeros((b, code.n_edges))
     c2v = kern.fresh_messages(b)
-    for _ in range(4):  # outer rounds carrying the check messages
-        llrs = rng.normal(0.0, 6.0, (b, code.n))
-        v2c_ref = ref.var_update(llrs, c2v_ref)
-        v2c = kern.var_update(llrs + kern.extrinsic(c2v), c2v)
-        assert np.array_equal(v2c, rows(v2c_ref))
-        # saturating, tiny and zero messages hit both clips
-        v2c_ref[:, ::5] *= 30.0
-        v2c_ref[:, 1::11] *= 1e-32
-        v2c_ref[:, 2::17] = 0.0
-        assert np.abs(v2c_ref).max() > 40.0
-        assert np.sum((v2c_ref != 0) & (np.abs(v2c_ref) < 2e-30)) > 0
-        c2v_ref = ref.check_update(v2c_ref)
-        c2v = kern.check_update(rows(v2c_ref))
-        assert np.array_equal(c2v, rows(c2v_ref))
-        assert np.array_equal(kern.extrinsic(c2v), ref.extrinsic(c2v_ref))
+    loud = np.isin(code.edge_chk, np.arange(0, code.m, 37))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for _ in range(4):  # outer rounds carrying the check messages
+            llrs = rng.normal(0.0, 6.0, (b, code.n)).astype(np.float32)
+            v2c = kern.var_update(llrs + kern.extrinsic(c2v), c2v)
+            assert v2c.dtype == np.float32
+            assert np.array_equal(code_order(v2c), ref.var_update(llrs, code_order(c2v)))
+            # saturating, tiny and zero messages hit every clip
+            v = code_order(v2c)
+            v[:, ::5] *= 30.0
+            v[:, 1::11] *= 1e-32
+            v[:, 2::17] = 0.0
+            v[:, 3::97] = -0.0
+            # every edge of some checks large: outputs near float64's range
+            big = (b, loud.sum())
+            v[:, loud] = rng.choice([-1.0, 1.0], big) * rng.uniform(18.0, 60.0, big)
+            assert np.abs(v).max() > 40.0
+            assert np.sum((v != 0) & (np.abs(v) < 2e-30)) > 0
+            c2v = kern.check_update(rows(v))
+            want = ref.check_update(v)
+            got = code_order(c2v)
+            assert c2v.dtype == np.float32 and np.all(np.isfinite(got))
+            # float32 accuracy, 1e-5 of the larger of the message and 1, up to
+            # float64's range: no early saturation
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+            assert np.abs(want).max() > 30.0
+            assert np.array_equal(kern.extrinsic(c2v), ref.extrinsic(got))
 
 
 def test_check_update_leave_one_out():

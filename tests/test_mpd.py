@@ -253,6 +253,14 @@ def test_engine_runs_in_float32(rng, shared):
     assert engine.llr(engine.uniform_beliefs()).dtype == np.float32
     prior = rng.standard_normal(obs.z.shape)
     assert prior.dtype == float
+    # llr and step cast float64 beliefs and priors, as run does
+    p64 = rng.uniform(0.05, 0.95, obs.z.shape)
+    p32 = p64.astype(np.float32)
+    L = engine.llr(p64)
+    assert L.dtype == np.float32 and np.array_equal(L, engine.llr(p32))
+    for got, want in zip(engine.step(p64, 0.33, prior),
+                         engine.step(p32, 0.33, prior.astype(np.float32))):
+        assert got.dtype == np.float32 and np.array_equal(got, want)
     cfg = MpdConfig(iterations=7, aitken=True, track_history=True)
     for p0 in (None, np.full(obs.z.shape, 0.3)):
         state = engine.run(cfg, p=p0, prior=prior)
