@@ -25,7 +25,7 @@ from .harness import (BerCurve, BerPoint, OperationCount, SimConfig,
 from .joint import (JointConfig, JointResult, bits_to_symbols,
                     detect_then_decode, gather_bit_llrs, j_function,
                     j_inverse, joint_detect_decode, measure_exit_detector,
-                    mutual_information_histogram, scatter_bit_llrs)
+                    mutual_information_histogram)
 from .ldpc import (TABLE_PROFILES, DegreeProfile, LdpcCode, SumProduct,
                    bp_decode_batch, build_code, code_from_parity_check,
                    encode, read_alist, regular_profile, write_alist)

@@ -2,12 +2,17 @@
 
 Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
 Seeds resolve as: --seed flag, else CHEMP_SEED environment variable, else 0.
-A JSON config file (--config) supplies base values; explicitly passed flags
-override it.
+The two sweeps build their `SimConfig` from three layers, each overriding the
+one before: the seed and the sweep's own defaults (`_SWEEP_DEFAULTS`; every
+other default belongs to `SimConfig`, `MpdConfig` and `JointConfig`), the JSON
+--config file, and the flags argparse parsed. A sweep flag defaults to
+`argparse.SUPPRESS` and its dest is the field it sets, dotted for the nested
+`mpd`/`joint` fields, so argparse's namespace is the record of what was given.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -17,12 +22,22 @@ import numpy as np
 from . import __version__
 from .analysis import convergence_condition, fixed_point_residuals, llr_mse_empirical
 from .hardening import eigenvalue_histogram, hardening_report, mp_distance
-from .harness import (BerCurve, SimConfig, count_operations, resolve_profile,
-                      run_coded_sweep, run_uncoded_sweep)
+from .harness import (CODED_RECEIVERS, UNCODED_RECEIVERS, BerCurve, SimConfig,
+                      count_operations, resolve_profile, run_coded_sweep,
+                      run_uncoded_sweep)
 from .joint import JointConfig, measure_exit_detector
 from .ldpc import build_code, write_alist
-from .model import draw_channels, gram, modulate, noise_variance, real_stack
+from .model import draw_channels, gram, modulate, noise_variance, real_stack, receive
 from .mpd import MpdConfig, matched_filter, mpd_detect
+
+# where each sweep departs from the SimConfig, MpdConfig and JointConfig defaults
+_SWEEP_DEFAULTS = {
+    "uncoded": {"n_antennas": 64, "n_users": 64, "snr_db": [8.0, 10.0, 12.0]},
+    "coded": {"n_antennas": 32, "n_users": 32, "snr_db": [4.0, 5.0, 6.0],
+              "receiver": "joint", "code_spec": "n128-alpha1",
+              "max_trials": 2000, "batch_size": 25},
+}
+_NESTED = {"mpd": MpdConfig, "joint": JointConfig}
 
 
 class UsageError(Exception):
@@ -36,11 +51,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """The --seed flag, else the CHEMP_SEED environment variable, else 0."""
+    if "seed" in args:
+        return args.seed
+    text = os.environ.get("CHEMP_SEED") or "0"
     try:
-        return int(os.environ.get("CHEMP_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise UsageError(f"CHEMP_SEED must be an integer, not {text!r}") from None
 
 
 def _parse_values(text: str) -> list:
@@ -55,10 +74,6 @@ def _parse_values(text: str) -> list:
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(max(n, 0))]
     return [float(t) for t in text.split(",") if t.strip()]
-
-
-def _explicit(argv: list, *names: str) -> bool:
-    return any(tok == n or tok.startswith(n + "=") for tok in argv for n in names)
 
 
 def _load_config(path: str | None) -> dict:
@@ -101,53 +116,73 @@ def _write_curve(curve: BerCurve, out: str, stem: str):
               f"({p.errors} errors / {p.bits} bits){flag}")
 
 
-def _add_common(sp, with_workers=True):
-    sp.add_argument("--seed", type=int, default=None,
-                    help="master seed (default: CHEMP_SEED env var, else 0)")
+def _add_common(sp, seed=True):
+    if seed:
+        sp.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help="master seed (default: CHEMP_SEED env var, else 0)")
     sp.add_argument("--out", default=None, help="output directory (default: .)")
+
+
+def _flag_adder(sp, defaults: dict):
+    """Adder of SUPPRESS-default flags whose help names the default: from
+    `defaults`, else from the `SimConfig` field (`MpdConfig`/`JointConfig` if dotted)."""
+
+    def flag(name, dest, text, **kw):
+        group, _, field = dest.rpartition(".")
+        default = defaults.get(dest, getattr(_NESTED.get(group, SimConfig), field, None))
+        if default is not None and kw.get("action") != "store_true":
+            shown = ",".join(f"{v:g}" for v in default) if isinstance(default, list) else default
+            text += f" (default {shown})"
+        sp.add_argument(name, dest=dest, default=argparse.SUPPRESS, help=text, **kw)
+
+    return flag
+
+
+def _add_mpd_flags(flag):
+    flag("--iters", "mpd.iterations", "detector iterations", type=int)
+    flag("--damping", "mpd.damping", "belief damping", type=float)
+
+
+def _add_sweep(sub, command, receivers, **kw):
+    """A sweep subcommand with the flags both sweeps share; returns its flag adder."""
+    sp = sub.add_parser(command, **kw)
+    flag = _flag_adder(sp, _SWEEP_DEFAULTS[command])
+    flag("--n", "n_antennas", "base-station antennas N", type=int)
+    flag("--k", "n_users", "users K", type=int)
+    flag("--snr", "snr_db", "dB grid: comma list or start:stop:step", type=_parse_values)
+    flag("--receiver", "receiver", "receiver", choices=receivers)
+    _add_mpd_flags(flag)
+    flag("--aitken", "mpd.aitken", "enable guarded Aitken acceleration", action="store_true")
+    flag("--target-errors", "target_errors", "bit errors that end an SNR point", type=int)
+    flag("--max-trials", "max_trials", "trial budget per SNR point", type=int)
+    flag("--batch-size", "batch_size", "trials per batch", type=int)
+    _add_common(sp)
     sp.add_argument("--config", default=None, help="JSON config file; flags override it")
-    if with_workers:
-        sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="parallel trial workers; output identical for any count")
+    sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                    help="parallel trial workers; output identical for any count")
+    sp.set_defaults(fn=_cmd_sweep)
+    return flag
 
 
-def _sweep_config(args, argv, coded: bool) -> SimConfig:
-    base = _load_config(args.config)
-    values = dict(base)
+def _nested(args, group: str) -> dict:
+    """The parsed flags of a dotted dest group, e.g. {'iterations': 5} of 'mpd'."""
+    return {dest.partition(".")[2]: val for dest, val in vars(args).items()
+            if dest.startswith(group + ".")}
 
-    def put(key, val, *flags):
-        if key not in base or _explicit(argv, *flags):
-            values[key] = val
 
-    put("n_antennas", args.n, "--n")
-    put("n_users", args.k, "--k")
-    put("snr_db", _parse_values(args.snr) if isinstance(args.snr, str) else args.snr, "--snr")
-    put("receiver", args.receiver, "--receiver")
-    put("seed", args.seed if args.seed is not None else _default_seed(), "--seed")
-    put("target_errors", args.target_errors, "--target-errors")
-    put("max_trials", args.max_trials, "--max-trials")
-    put("batch_size", args.batch_size, "--batch-size")
-    if getattr(args, "frame_length", None) is not None or _explicit(argv, "--frame-length"):
-        values["frame_length"] = args.frame_length
-    mpd = dict(values.get("mpd", {}))
-    for key, flag, val in (("iterations", "--iters", args.iters),
-                           ("damping", "--damping", args.damping),
-                           ("aitken", "--aitken", args.aitken)):
-        if key not in mpd or _explicit(argv, flag):
-            mpd[key] = val
-    values["mpd"] = MpdConfig(**mpd)
-    if coded:
-        put("code_spec", args.code, "--code")
-        put("block_length", args.block_length, "--block-length")
-        put("decoder_iterations", args.decoder_iters, "--decoder-iters")
-        put("csi", args.csi, "--csi")
-        joint = dict(values.get("joint", {}))
-        for key, flag, val in (("outer_iterations", "--outer", args.outer),
-                               ("detector_passes", "--detector-passes", args.detector_passes),
-                               ("decoder_passes", "--decoder-passes", args.decoder_passes)):
-            if key not in joint or _explicit(argv, flag):
-                joint[key] = val
-        values["joint"] = JointConfig(**joint)
+def _sweep_config(args) -> SimConfig:
+    """The three layers of the module docstring; `mpd` and `joint` merge key by key."""
+    fields = inspect.signature(SimConfig).parameters
+    flags = {dest: val for dest, val in vars(args).items() if dest in fields}
+    flags.update({group: _nested(args, group) for group in _NESTED})
+    values = {**{group: {} for group in _NESTED}, **_SWEEP_DEFAULTS[args.command]}
+    for layer in (_load_config(args.config), flags):
+        for key, val in layer.items():
+            values[key] = {**values[key], **val} if key in _NESTED else val
+    if "seed" not in values:
+        values["seed"] = _seed(args)
+    for group, cls in _NESTED.items():
+        values[group] = cls(**values[group])
     return SimConfig(**values)
 
 
@@ -155,24 +190,17 @@ def _sweep_config(args, argv, coded: bool) -> SimConfig:
 # subcommands
 
 
-def _cmd_uncoded(args, argv) -> int:
-    cfg = _sweep_config(args, argv, coded=False)
-    curve = run_uncoded_sweep(cfg, workers=args.workers)
-    _write_curve(curve, _out_dir(args), f"uncoded_{cfg.receiver}")
+def _cmd_sweep(args) -> int:
+    cfg = _sweep_config(args)
+    run = run_coded_sweep if args.command == "coded" else run_uncoded_sweep
+    curve = run(cfg, workers=args.workers)
+    _write_curve(curve, _out_dir(args), f"{args.command}_{cfg.receiver}")
     return 0
 
 
-def _cmd_coded(args, argv) -> int:
-    cfg = _sweep_config(args, argv, coded=True)
-    curve = run_coded_sweep(cfg, workers=args.workers)
-    _write_curve(curve, _out_dir(args), f"coded_{cfg.receiver}")
-    return 0
-
-
-def _cmd_hardening(args, argv) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = np.random.default_rng(seed)
-    sizes = [int(v) for v in _parse_values(args.n_list)]
+def _cmd_hardening(args) -> int:
+    rng = np.random.default_rng(_seed(args))
+    sizes = [int(v) for v in args.n_list]
     rows = []
     for n in sizes:
         k = max(1, int(round(args.alpha * n)))
@@ -192,9 +220,8 @@ def _cmd_hardening(args, argv) -> int:
     return 0
 
 
-def _cmd_mp_law(args, argv) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = np.random.default_rng(seed)
+def _cmd_mp_law(args) -> int:
+    rng = np.random.default_rng(_seed(args))
     n = args.n
     k = args.k if args.k is not None else max(1, int(round(args.alpha * n)))
     channels = np.stack([draw_channels(rng, n, k) for _ in range(args.realizations)])
@@ -208,34 +235,28 @@ def _cmd_mp_law(args, argv) -> int:
     return 0
 
 
-def _cmd_exit(args, argv) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = np.random.default_rng(seed)
-    grid = _parse_values(args.ia_grid)
-    cfg = MpdConfig(iterations=args.iters, damping=args.damping)
-    ie = measure_exit_detector(args.n, args.k, args.snr, grid, rng,
-                               n_channels=args.channels,
-                               uses_per_channel=args.uses, mpd_cfg=cfg)
+def _cmd_exit(args) -> int:
+    rng = np.random.default_rng(_seed(args))
+    given = {d: getattr(args, d) for d in ("n_channels", "uses_per_channel") if d in args}
+    ie = measure_exit_detector(args.n, args.k, args.snr, args.ia_grid, rng,
+                               mpd_cfg=MpdConfig(**_nested(args, "mpd")), **given)
     _write_table(os.path.join(_out_dir(args), "exit.csv"), "i_a,i_e,snr_db",
-                 ((f"{a:.6f}", f"{e:.6f}", f"{args.snr:g}") for a, e in zip(grid, ie)))
-    for a, e in zip(grid, ie):
+                 ((f"{a:.6f}", f"{e:.6f}", f"{args.snr:g}") for a, e in zip(args.ia_grid, ie)))
+    for a, e in zip(args.ia_grid, ie):
         print(f"  I_A {a:.2f} -> I_E {e:.4f}")
     return 0
 
 
-def _cmd_convergence(args, argv) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = np.random.default_rng(seed)
+def _cmd_convergence(args) -> int:
+    rng = np.random.default_rng(_seed(args))
     nv = noise_variance(args.snr, args.k)
-    cfg = MpdConfig(iterations=args.iters, damping=args.damping,
-                    track_history=True)
+    cfg = MpdConfig(**_nested(args, "mpd"), track_history=True)
     rows = []
     for t in range(args.trials):
         hc = draw_channels(rng, args.n, args.k)
         x = modulate(rng.integers(0, 2, size=2 * args.k))
         w = rng.standard_normal(2 * args.n) * np.sqrt(nv)
-        yc = hc @ (x[:args.k] + 1j * x[args.k:]) + (w[:args.n] + 1j * w[args.n:])
-        obs = matched_filter(hc, yc, nv)
+        obs = matched_filter(hc, receive(hc, x, w), nv)
         rep = convergence_condition(obs.J)
         state = mpd_detect(obs, cfg)
         res = fixed_point_residuals(state)
@@ -248,16 +269,15 @@ def _cmd_convergence(args, argv) -> int:
     reached = [r[1] for r in rows if r[1] > 0]
     frac = len(reached) / len(rows) if rows else 0.0
     med = float(np.median(reached)) if reached else float("nan")
-    print(f"  reached tol {args.tol:g} within {args.iters} iterations: "
+    print(f"  reached tol {args.tol:g} within {cfg.iterations} iterations: "
           f"{100 * frac:.1f}% of trials (median {med:g})")
     return 0
 
 
-def _cmd_llr_mse(args, argv) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    snrs = _parse_values(args.snr)
+def _cmd_llr_mse(args) -> int:
+    seed = _seed(args)
     rows = []
-    for s in snrs:
+    for s in args.snr:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(round(10 * s)),)))
         emp, bound = llr_mse_empirical(args.n, args.k, s, args.trials, rng,
                                        with_bound=True)
@@ -269,7 +289,7 @@ def _cmd_llr_mse(args, argv) -> int:
     return 0
 
 
-def _cmd_opcount(args, argv) -> int:
+def _cmd_opcount(args) -> int:
     mpd = count_operations("mpd", args.n, args.k, args.iters)
     mmse = count_operations("mmse", args.n, args.k, args.iters)
     ratio = mpd.total / mmse.total
@@ -284,9 +304,8 @@ def _cmd_opcount(args, argv) -> int:
     return 0
 
 
-def _cmd_code_build(args, argv) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = np.random.default_rng(seed)
+def _cmd_code_build(args) -> int:
+    rng = np.random.default_rng(_seed(args))
     profile = resolve_profile(args.code)
     code = build_code(profile, args.block_length, rng)
     out = _out_dir(args)
@@ -311,54 +330,32 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", metavar="command")
 
-    sp = sub.add_parser("uncoded", help="uncoded BER sweep",
-                        description="Uncoded BER vs SNR for one receiver.")
-    sp.add_argument("--n", type=int, default=64, help="base-station antennas N")
-    sp.add_argument("--k", type=int, default=64, help="users K")
-    sp.add_argument("--snr", default="8,10,12", help="dB grid: comma list or start:stop:step")
-    sp.add_argument("--receiver", default="mpd",
-                    choices=["mpd", "chemp-estimated", "mmse", "mmse-estimated", "map-oracle"])
-    sp.add_argument("--iters", type=int, default=20, help="detector iterations (default 20)")
-    sp.add_argument("--damping", type=float, default=0.33, help="belief damping (default 0.33)")
-    sp.add_argument("--aitken", action="store_true", help="enable guarded Aitken acceleration")
-    sp.add_argument("--target-errors", type=int, default=100)
-    sp.add_argument("--max-trials", type=int, default=100_000)
-    sp.add_argument("--batch-size", type=int, default=100)
-    sp.add_argument("--frame-length", type=int, default=None,
-                    help="uses per frame in estimated-CSI modes (default 2K)")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_uncoded)
+    flag = _add_sweep(sub, "uncoded", UNCODED_RECEIVERS,
+                      help="uncoded BER sweep",
+                      description="Uncoded BER vs SNR for one receiver.")
+    flag("--frame-length", "frame_length",
+         "uses per frame in estimated-CSI modes (default 2K)", type=int)
 
-    sp = sub.add_parser("coded", help="coded BER sweep (joint or separate)",
-                        description="Coded BER/FER vs SNR over block-fading frames.")
-    sp.add_argument("--n", type=int, default=32)
-    sp.add_argument("--k", type=int, default=32)
-    sp.add_argument("--snr", default="4,5,6")
-    sp.add_argument("--receiver", default="joint", choices=["joint", "separate"])
-    sp.add_argument("--code", default="n128-alpha1",
-                    help="code spec: table profile name or regular-DV-DC")
-    sp.add_argument("--block-length", type=int, default=1000)
-    sp.add_argument("--outer", type=int, default=20, help="outer rounds (default 20)")
-    sp.add_argument("--detector-passes", type=int, default=1)
-    sp.add_argument("--decoder-passes", type=int, default=2)
-    sp.add_argument("--decoder-iters", type=int, default=40,
-                    help="decoder budget of the separate baseline")
-    sp.add_argument("--csi", default="perfect", choices=["perfect", "estimated"])
-    sp.add_argument("--iters", type=int, default=20)
-    sp.add_argument("--damping", type=float, default=0.33)
-    sp.add_argument("--aitken", action="store_true")
-    sp.add_argument("--target-errors", type=int, default=100)
-    sp.add_argument("--max-trials", type=int, default=2000)
-    sp.add_argument("--batch-size", type=int, default=25)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_coded)
+    flag = _add_sweep(sub, "coded", CODED_RECEIVERS,
+                      help="coded BER sweep (joint or separate)",
+                      description="Coded BER/FER vs SNR over block-fading frames.")
+    flag("--code", "code_spec", "code spec: table profile name or regular-DV-DC")
+    flag("--block-length", "block_length", "code length n", type=int)
+    flag("--outer", "joint.outer_iterations", "outer rounds", type=int)
+    flag("--detector-passes", "joint.detector_passes", "detector steps per outer round",
+         type=int)
+    flag("--decoder-passes", "joint.decoder_passes", "decoder iterations per outer round",
+         type=int)
+    flag("--decoder-iters", "decoder_iterations", "decoder budget of the separate baseline",
+         type=int)
+    flag("--csi", "csi", "channel knowledge: perfect or estimated from pilots")
 
     sp = sub.add_parser("hardening", help="Gram concentration vs size",
                         description="Diagonal/off-diagonal statistics of J over sizes.")
-    sp.add_argument("--n-list", default="16,32,64", help="antenna counts")
+    sp.add_argument("--n-list", type=_parse_values, default="16,32,64", help="antenna counts")
     sp.add_argument("--alpha", type=float, default=1.0, help="loading K/N")
     sp.add_argument("--realizations", type=int, default=100)
-    _add_common(sp, with_workers=False)
+    _add_common(sp)
     sp.set_defaults(fn=_cmd_hardening)
 
     sp = sub.add_parser("mp-law", help="eigenvalue histogram vs limiting law",
@@ -368,7 +365,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--realizations", type=int, default=1)
     sp.add_argument("--bins", type=int, default=40)
-    _add_common(sp, with_workers=False)
+    _add_common(sp)
     sp.set_defaults(fn=_cmd_mp_law)
 
     sp = sub.add_parser("exit", help="detector extrinsic information transfer",
@@ -376,12 +373,13 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=32)
     sp.add_argument("--k", type=int, default=32)
     sp.add_argument("--snr", type=float, default=6.0)
-    sp.add_argument("--ia-grid", default="0:0.9:0.1")
-    sp.add_argument("--channels", type=int, default=40)
-    sp.add_argument("--uses", type=int, default=16)
-    sp.add_argument("--iters", type=int, default=20)
-    sp.add_argument("--damping", type=float, default=0.33)
-    _add_common(sp, with_workers=False)
+    sp.add_argument("--ia-grid", type=_parse_values, default="0:0.9:0.1")
+    flag = _flag_adder(sp, {name: par.default for name, par in
+                            inspect.signature(measure_exit_detector).parameters.items()})
+    flag("--channels", "n_channels", "channel draws", type=int)
+    flag("--uses", "uses_per_channel", "uses per channel draw", type=int)
+    _add_mpd_flags(flag)
+    _add_common(sp)
     sp.set_defaults(fn=_cmd_exit)
 
     sp = sub.add_parser("convergence", help="fixed-point diagnostics",
@@ -391,41 +389,42 @@ def _build_parser() -> _Parser:
     sp.add_argument("--snr", type=float, default=10.0)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--tol", type=float, default=1e-3)
-    sp.add_argument("--iters", type=int, default=20)
-    sp.add_argument("--damping", type=float, default=0.33)
-    _add_common(sp, with_workers=False)
+    _add_mpd_flags(_flag_adder(sp, {}))
+    _add_common(sp)
     sp.set_defaults(fn=_cmd_convergence)
 
     sp = sub.add_parser("llr-mse", help="first-iteration LLR error vs bound",
                         description="Empirical LLR MSE under estimated statistics vs bound.")
     sp.add_argument("--n", type=int, default=64)
     sp.add_argument("--k", type=int, default=64)
-    sp.add_argument("--snr", default="6,8,10,12,14")
+    sp.add_argument("--snr", type=_parse_values, default="6,8,10,12,14")
     sp.add_argument("--trials", type=int, default=200)
-    _add_common(sp, with_workers=False)
+    _add_common(sp)
     sp.set_defaults(fn=_cmd_llr_mse)
 
     sp = sub.add_parser("opcount", help="analytic complexity comparison",
                         description="Real-operation counts of the two receivers.")
     sp.add_argument("--n", type=int, default=128)
     sp.add_argument("--k", type=int, default=128)
-    sp.add_argument("--iters", type=int, default=20)
-    _add_common(sp, with_workers=False)
+    sp.add_argument("--iters", type=int, default=MpdConfig.iterations,
+                    help="detector iterations (default %(default)s)")
+    _add_common(sp, seed=False)
     sp.set_defaults(fn=_cmd_opcount)
 
     sp = sub.add_parser("code-build", help="construct a code and export alist",
                         description="Build a code from a degree profile and export it.")
-    sp.add_argument("--code", default="n128-alpha1")
-    sp.add_argument("--block-length", type=int, default=1000)
+    sp.add_argument("--code", default=_SWEEP_DEFAULTS["coded"]["code_spec"],
+                    help="code spec (default %(default)s)")
+    sp.add_argument("--block-length", type=int, default=SimConfig.block_length,
+                    help="code length n (default %(default)s)")
     sp.add_argument("--filename", default=None, help="alist filename (default derived)")
-    _add_common(sp, with_workers=False)
+    _add_common(sp)
     sp.set_defaults(fn=_cmd_code_build)
 
     return p
 
 
 def main(argv: list | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -434,16 +433,15 @@ def main(argv: list | None = None) -> int:
         return 1
     except SystemExit as e:  # --help / --version
         return int(e.code or 0)
-    if getattr(args, "command", None) is None:
+    if args.command is None:
         parser.print_help()
         return 1
     try:
-        try:
-            return args.fn(args, argv)
-        except (UsageError, ValueError, TypeError, KeyError, FileNotFoundError,
-                json.JSONDecodeError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
+        return args.fn(args)
+    except (UsageError, ValueError, TypeError, KeyError, FileNotFoundError,
+            json.JSONDecodeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except Exception as e:  # pragma: no cover - defensive
         print(f"runtime failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

@@ -30,7 +30,6 @@ __all__ = [
     "JointResult",
     "bits_to_symbols",
     "gather_bit_llrs",
-    "scatter_bit_llrs",
     "joint_detect_decode",
     "detect_then_decode",
     "j_function",
@@ -107,15 +106,6 @@ def gather_bit_llrs(symbol_llrs: np.ndarray, n_users: int) -> np.ndarray:
     sl = sl.reshape(sl.shape[:-1] + (2, n_users))  # (..., U, 2, K)
     sl = np.moveaxis(sl, -1, -3)                   # (..., K, U, 2)
     return sl.reshape(sl.shape[:-2] + (2 * u,))
-
-
-def scatter_bit_llrs(bit_llrs: np.ndarray, n_users: int) -> np.ndarray:
-    """Map bit LLRs (..., K, n) back onto symbol positions (..., n/2, 2K)."""
-    bl = np.asarray(bit_llrs)
-    n = bl.shape[-1]
-    bl = bl.reshape(bl.shape[:-1] + (n // 2, 2))   # (..., K, U, 2)
-    bl = np.moveaxis(bl, -3, -1)                   # (..., U, 2, K)
-    return bl.reshape(bl.shape[:-2] + (2 * n_users,))
 
 
 def _framing(obs: GramObservation, code: LdpcCode):

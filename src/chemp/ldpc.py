@@ -352,7 +352,9 @@ def encode(code: LdpcCode, info_bits: np.ndarray) -> np.ndarray:
     u = np.asarray(info_bits, dtype=np.uint8)
     if u.shape[-1] != code.k:
         raise ValueError("info word length must equal k")
-    parity = (u.astype(np.int64) @ code.encode_mat.T.astype(np.int64)) % 2
+    # a float32 product runs in BLAS and is exact: each parity sum counts at
+    # most k ones, and float32 holds every integer up to 2**24
+    parity = (u.astype(np.float32) @ code.encode_mat.T.astype(np.float32)) % 2
     out = np.zeros(u.shape[:-1] + (code.n,), dtype=np.uint8)
     out[..., code.info_cols] = u
     out[..., code.pivot_cols] = parity.astype(np.uint8)

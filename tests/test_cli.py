@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, file outputs, config precedence."""
 
+import copy
 import json
 import os
 
 import numpy as np
 import pytest
 
-from chemp import BerCurve, read_alist
+import chemp.cli as cli_mod
+from chemp import BerCurve, JointConfig, MpdConfig, SimConfig, read_alist
 from chemp.cli import main
 
 
@@ -233,11 +235,114 @@ def test_removed_config_key_fails(tmp_path, removed):
 
 
 def test_internal_error_maps_to_two(tmp_path, monkeypatch):
-    import chemp.cli as cli_mod
-
     def boom(cfg, workers=1):
         raise RuntimeError("disk on fire")
 
     monkeypatch.setattr(cli_mod, "run_uncoded_sweep", boom)
     rc = run(tmp_path, "uncoded", "--n", "8", "--k", "4")
     assert rc == 2
+
+
+def capture_sweeps(monkeypatch) -> list:
+    """Record the SimConfig each sweep would run, and run none."""
+    seen = []
+    for name in ("run_uncoded_sweep", "run_coded_sweep"):
+        monkeypatch.setattr(cli_mod, name, lambda cfg, workers=1: seen.append(cfg))
+    monkeypatch.setattr(cli_mod, "_write_curve", lambda *a: None)
+    return seen
+
+
+def sim_config(doc: dict) -> SimConfig:
+    return SimConfig(**dict(doc, mpd=MpdConfig(**doc.get("mpd", {})),
+                            joint=JointConfig(**doc.get("joint", {}))))
+
+
+# config files that set every field a sweep flag sets, each to a value that is
+# neither the subcommand's default nor the flag's value below
+SWEEP_FILES = {
+    "uncoded": {"n_antennas": 8, "n_users": 4, "snr_db": [5.0], "receiver": "mmse",
+                "target_errors": 5, "max_trials": 30, "batch_size": 10,
+                "frame_length": 20, "seed": 13,
+                "mpd": {"iterations": 7, "damping": 0.5, "aitken": False}},
+    "coded": {"n_antennas": 8, "n_users": 4, "snr_db": [5.0], "receiver": "separate",
+              "code_spec": "regular-3-6", "block_length": 64, "decoder_iterations": 10,
+              "csi": "perfect", "target_errors": 5, "max_trials": 8, "batch_size": 4,
+              "seed": 13, "mpd": {"iterations": 7, "damping": 0.5, "aitken": False},
+              "joint": {"outer_iterations": 3, "detector_passes": 3, "decoder_passes": 1}},
+}
+# (flag, a unique prefix of it or None, dest, argument or None, value it sets)
+SHARED_FLAGS = [
+    ("--n", None, "n_antennas", "12", 12),
+    ("--k", None, "n_users", "6", 6),
+    ("--snr", "--sn", "snr_db", "7", (7.0,)),
+    ("--iters", "--it", "mpd.iterations", "9", 9),
+    ("--damping", "--dam", "mpd.damping", "0.2", 0.2),
+    ("--aitken", "--ait", "mpd.aitken", None, True),
+    ("--target-errors", "--target", "target_errors", "7", 7),
+    ("--max-trials", "--max", "max_trials", "40", 40),
+    ("--batch-size", "--batch", "batch_size", "20", 20),
+    ("--seed", "--se", "seed", "11", 11),
+]
+SWEEP_FLAGS = {
+    "uncoded": SHARED_FLAGS + [
+        ("--receiver", "--rec", "receiver", "chemp-estimated", "chemp-estimated"),
+        ("--frame-length", "--frame", "frame_length", "24", 24),
+    ],
+    "coded": SHARED_FLAGS + [
+        ("--receiver", "--rec", "receiver", "joint", "joint"),
+        ("--code", "--cod", "code_spec", "regular-4-8", "regular-4-8"),
+        ("--block-length", "--bl", "block_length", "96", 96),
+        ("--outer", "--oute", "joint.outer_iterations", "5", 5),
+        ("--detector-passes", "--det", "joint.detector_passes", "4", 4),
+        ("--decoder-passes", "--decoder-p", "joint.decoder_passes", "2", 2),
+        ("--decoder-iters", "--decoder-i", "decoder_iterations", "20", 20),
+        ("--csi", "--cs", "csi", "estimated", "estimated"),
+    ],
+}
+SWEEP_CASES = [pytest.param(command, None, None, None, None, id=f"{command} no flag")
+               for command in SWEEP_FLAGS]
+for command, flags in SWEEP_FLAGS.items():
+    for full, prefix, dest, text, value in flags:
+        for name in filter(None, (full, prefix)):
+            SWEEP_CASES.append(pytest.param(command, name, dest, text, value,
+                                            id=f"{command} {name}"))
+
+
+@pytest.mark.parametrize("command,name,dest,text,value", SWEEP_CASES)
+def test_sweep_flag_layers_over_config_file(tmp_path, monkeypatch, command, name,
+                                            dest, text, value):
+    """An absent flag keeps the file's value; a flag given by its full name or
+    a unique prefix wins; nested mpd/joint fields merge key by key."""
+    seen = capture_sweeps(monkeypatch)
+    doc = SWEEP_FILES[command]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(path)]
+    want = copy.deepcopy(doc)
+    if name is not None:
+        argv += [name] if text is None else [name, text]
+        group, _, field = dest.rpartition(".")
+        (want[group] if group else want)[field] = value
+    assert main(argv) == 0
+    assert seen == [sim_config(want)]
+
+
+@pytest.mark.parametrize("argv", [[sub, "--config", "cfg.json"] for sub in (
+    "hardening", "mp-law", "exit", "convergence", "llr-mse", "opcount", "code-build")]
+    + [["opcount", "--seed", "1"]], ids=" ".join)
+def test_removed_options_fail(argv):
+    assert main(argv) == 1
+
+
+def test_non_integer_seed_env_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CHEMP_SEED", "abc")
+    seen = capture_sweeps(monkeypatch)
+    assert main(["uncoded", "--help"]) == 0
+    capsys.readouterr()
+    assert run(tmp_path, "hardening", "--n-list", "8", "--realizations", "2") == 1
+    assert "CHEMP_SEED" in capsys.readouterr().err
+    assert main(["uncoded", "--n", "8", "--k", "4"]) == 1
+    assert not seen
+    # a run that takes its seed from the flag does not read the variable
+    assert main(["uncoded", "--n", "8", "--k", "4", "--seed", "3"]) == 0
+    assert seen[0].seed == 3

@@ -23,7 +23,6 @@ from chemp import (
     noise_variance,
     real_stack,
     regular_profile,
-    scatter_bit_llrs,
 )
 
 
@@ -63,15 +62,8 @@ def test_bits_to_symbols_two_users():
     np.testing.assert_allclose(sym, [[1.0, -1.0, 1.0, -1.0]])
 
 
-def test_gather_scatter_round_trip(rng):
-    bl = rng.standard_normal((3, 4, 100))  # (frames, users, n)
-    np.testing.assert_allclose(gather_bit_llrs(scatter_bit_llrs(bl, 4), 4), bl)
-    sl = rng.standard_normal((3, 50, 8))   # (frames, uses, 2K)
-    np.testing.assert_allclose(scatter_bit_llrs(gather_bit_llrs(sl, 4), 4), sl)
-
-
 def test_gather_inverts_modulation(rng):
-    bits = rng.integers(0, 2, size=(4, 60))
+    bits = rng.integers(0, 2, size=(3, 4, 100))  # (frames, users, n)
     sym = bits_to_symbols(bits, 4)
     # reading symbol signs back as LLRs recovers the bit layout
     back = gather_bit_llrs(sym, 4)

@@ -173,13 +173,17 @@ def test_code_rank_and_column_split(small_regular):
     assert np.array_equal(np.sort(both), np.arange(c.n))
 
 
-def test_encode_produces_codewords(small_regular):
+def test_encode_produces_codewords(small_regular, irregular_1000):
     rng = np.random.default_rng(5)
-    info = rng.integers(0, 2, size=(20, small_regular.k))
-    words = encode(small_regular, info)
-    assert words.shape == (20, small_regular.n)
-    assert np.all(small_regular.is_codeword(words))
-    np.testing.assert_array_equal(words[:, small_regular.info_cols], info)
+    for code in (small_regular, irregular_1000):
+        info = rng.integers(0, 2, size=(20, code.k))
+        words = encode(code, info)
+        assert words.shape == (20, code.n)
+        assert np.all(code.is_codeword(words))
+        np.testing.assert_array_equal(words[:, code.info_cols], info)
+        # the exact integer product the float32 one must reproduce
+        parity = (info.astype(np.int64) @ code.encode_mat.T.astype(np.int64)) % 2
+        np.testing.assert_array_equal(words[:, code.pivot_cols], parity)
 
 
 def test_encode_single_vector(small_regular):
