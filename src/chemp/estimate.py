@@ -10,6 +10,10 @@ receiver forms the detector inputs directly from Y_p:
 so no explicit channel matrix estimate is needed. The diagonal correction
 removes the pilot-noise bias E[W_p^H W_p] / (N P^2) exactly. A per-entry
 linear MMSE channel estimate is provided for the estimated-CSI MMSE baseline.
+
+The pilot block takes the precision of the channel: the pilot noise is
+drawn in float64 and rounded once, and every estimate keeps the block's
+precision (complex64 and float32 for a complex64 channel).
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import gram
+from .model import as_complex, gram
 from .mpd import GramObservation
 
 __all__ = [
@@ -40,7 +44,7 @@ class PilotObservation:
     noise_var: float
 
     def __post_init__(self):
-        self.Y_p = np.asarray(self.Y_p, dtype=complex)
+        self.Y_p = as_complex(self.Y_p)
         if self.amplitude <= 0:
             raise ValueError("pilot amplitude must be positive")
         if self.noise_var < 0:
@@ -60,8 +64,9 @@ def receive_pilots(rng: np.random.Generator, hc: np.ndarray, noise_var: float,
                    amplitude: float) -> PilotObservation:
     """Simulate the K orthogonal pilot uses of complex channels hc (..., N, K):
     column i of the block is h_i scaled by P plus receiver noise."""
+    hc = as_complex(hc)
     wc = (rng.standard_normal(hc.shape) + 1j * rng.standard_normal(hc.shape)) * np.sqrt(noise_var)
-    return PilotObservation(Y_p=amplitude * hc + wc, amplitude=amplitude,
+    return PilotObservation(Y_p=amplitude * hc + wc.astype(hc.dtype), amplitude=amplitude,
                             noise_var=noise_var)
 
 
@@ -80,7 +85,7 @@ def estimate_gram(pilots: PilotObservation) -> np.ndarray:
 
 def estimate_z(pilots: PilotObservation, yc: np.ndarray) -> np.ndarray:
     """Matched-filter estimate zhat = [Re, Im] of Y_p^H yc / (N P)."""
-    yc = np.asarray(yc, dtype=complex)
+    yc = np.asarray(yc, dtype=pilots.Y_p.dtype)
     zc = ((np.conj(np.swapaxes(pilots.Y_p, -1, -2)) @ yc[..., None])[..., 0]
           / (pilots.n_antennas * pilots.amplitude))
     return np.concatenate([zc.real, zc.imag], axis=-1)

@@ -10,6 +10,17 @@ vector x = [x_r, x_i] meets only the real stacking of G (`real_stack`).
 SNR convention: per-real-component symbol amplitude is 1 (Es = 2 per complex
 symbol) and the average received SNR is K*Es / (2*sigma_n^2), with sigma_n^2
 the variance of each real noise component.
+
+Precision: channels are drawn in complex64, each entry the float64 normal
+draw rounded once, so the random streams are those of a float64 draw. The
+front end keeps the precision of the channel it is given: `gram`,
+`receive`, the matched filter, the pilot estimates and the MMSE solve map
+complex64 to complex64 (float32 for real outputs) and complex128 to
+complex128 (float64). Symbols and noise are drawn in float64 and rounded
+once where they meet the channel. Single precision rounds each entry to a
+relative 6e-8; the Gram of N = 64 antennas then agrees with the complex128
+Gram of the same rounded channel to about 5e-7, far inside the spread of a
+channel draw.
 """
 from __future__ import annotations
 
@@ -26,7 +37,7 @@ __all__ = [
 
 
 def draw_channels(rng: np.random.Generator, n: int, k: int, batch=()) -> np.ndarray:
-    """I.i.d. unit-variance complex Gaussian channels of shape batch + (N, K).
+    """I.i.d. unit-variance complex Gaussian channels of shape batch + (N, K), complex64.
 
     `batch` is an int or a shape tuple; the default draws one N x K matrix.
     Loading factor K/N must not exceed 1.
@@ -36,22 +47,29 @@ def draw_channels(rng: np.random.Generator, n: int, k: int, batch=()) -> np.ndar
     if k > n:
         raise ValueError("overloaded system (K > N) is not supported")
     shape = ((batch,) if np.ndim(batch) == 0 else tuple(batch)) + (n, k)
-    # real parts first, as in standard_normal(shape) + 1j * standard_normal(shape),
-    # written in place: the same values without the temporaries
-    g = np.empty(shape, complex)
-    g.real = rng.standard_normal(shape)
-    g.imag = rng.standard_normal(shape)
-    g /= np.sqrt(2.0)
+    # (standard_normal(shape) + 1j * standard_normal(shape)) / sqrt(2), real
+    # parts first: each part is divided in float64 and rounded once
+    g = np.empty(shape, np.complex64)
+    part = np.empty(shape)
+    for half in (g.real, g.imag):
+        np.divide(rng.standard_normal(out=part), np.sqrt(2.0), out=half)
     return g
 
 
+def as_complex(a) -> np.ndarray:
+    """`a` as a complex array of its own precision: complex64 or float32 input
+    gives complex64, any other input complex128."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a, np.complex64), copy=False)
+
+
 def gram(hc: np.ndarray) -> np.ndarray:
-    """G = hc^H hc / N of complex (..., N, K) matrices.
+    """G = hc^H hc / N of complex (..., N, K) matrices, in hc's precision.
 
     Symmetrised as (G + G^H) / 2 so that it is exactly Hermitian with a
     real diagonal.
     """
-    hc = np.asarray(hc, dtype=complex)
+    hc = as_complex(hc)
     g = np.conj(np.swapaxes(hc, -1, -2)) @ hc
     G = np.conj(np.swapaxes(g, -1, -2))
     G += g
@@ -67,14 +85,16 @@ def real_stack(m: np.ndarray) -> np.ndarray:
 
 
 def receive(hc: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Complex received rows y_c = x_c H_c^T + w_c over channels hc (..., N, K).
+    """Complex received rows y_c = x_c H_c^T + w_c over channels hc (..., N, K),
+    in hc's precision.
 
     x (..., 2K) holds the symbol components [x_r, x_i] and w (..., 2N) the
     noise components [w_r, w_i], one row per channel use.
     """
+    hc = as_complex(hc)
     n, k = hc.shape[-2:]
-    xc = x[..., :k] + 1j * x[..., k:]
-    return xc @ np.swapaxes(hc, -1, -2) + (w[..., :n] + 1j * w[..., n:])
+    xc = (x[..., :k] + 1j * x[..., k:]).astype(hc.dtype)
+    return xc @ np.swapaxes(hc, -1, -2) + (w[..., :n] + 1j * w[..., n:]).astype(hc.dtype)
 
 
 def noise_variance(snr_db: float, n_users: int) -> float:
@@ -85,6 +105,6 @@ def noise_variance(snr_db: float, n_users: int) -> float:
 def modulate(bits: np.ndarray) -> np.ndarray:
     """Map bits {0,1} to antipodal components: 0 -> +1, 1 -> -1."""
     bits = np.asarray(bits)
-    if not np.isin(bits, (0, 1)).all():
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0 or 1")
     return 1.0 - 2.0 * bits.astype(float)

@@ -31,7 +31,11 @@ the bytes a step reads and doubles the width of its vector products; its
 entry points cast beliefs and priors to `DTYPE`, so a float64 input cannot
 promote a step. The coded receiver is float32 end to end: the LDPC decoder
 (`ldpc.SumProduct`) runs in the same `DTYPE` and takes the detector LLRs
-as they are. The observation and the other receivers stay float64. Float32
+as they are. The observation takes the precision of the channel (see
+`model`): a complex64 channel, as `model.draw_channels` gives, makes a
+complex64 G and a float32 z, so the channel draw, matched filter, detector,
+MMSE and decoder all run in single precision; a complex128 channel keeps a
+complex128 G and float64 z for reference computations. Float32
 rounds each term to a relative 6e-8, and a sum over 2K terms to at most
 about 2K times that, so an LLR moves by about 1e-4 at the clip bound. The
 Gaussian approximation the detector rests on is coarser by orders of
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import gram, real_stack
+from .model import as_complex, gram, real_stack
 
 __all__ = [
     "GramObservation",
@@ -62,15 +66,16 @@ __all__ = [
 @dataclass
 class GramObservation:
     """Matched-filter statistics: complex Gram G (..., K, K), real z (..., 2K)
-    = [Re zc, Im zc], and the filtered noise variance."""
+    = [Re zc, Im zc] in G's precision, and the filtered noise variance."""
 
     G: np.ndarray
     z: np.ndarray
     sigma_v_sq: float
 
     def __post_init__(self):
-        self.G = np.asarray(self.G, dtype=complex)
-        self.z = np.asarray(self.z, dtype=float)
+        self.G = as_complex(self.G)
+        self.z = np.asarray(self.z, dtype=self.G.real.dtype)
+        self.sigma_v_sq = float(self.sigma_v_sq)
         if self.G.shape[-1] != self.G.shape[-2]:
             raise ValueError("G must be square in its trailing axes")
         if self.z.shape[-1] != 2 * self.G.shape[-1]:
@@ -127,11 +132,12 @@ class BeliefState:
 def matched_filter(hc: np.ndarray, yc: np.ndarray, noise_var: float) -> GramObservation:
     """Reduce complex (hc (..., N, K), yc (..., N)) to the Gram-domain observation.
 
-    G = `model.gram(hc)` and z = [Re, Im] of hc^H yc / N. The filtered noise
-    has per-component variance noise_var / N for unit-variance complex gains.
+    G = `model.gram(hc)` and z = [Re, Im] of hc^H yc / N, both in hc's
+    precision. The filtered noise has per-component variance noise_var / N
+    for unit-variance complex gains.
     """
-    hc = np.asarray(hc, dtype=complex)
-    yc = np.asarray(yc, dtype=complex)
+    hc = as_complex(hc)
+    yc = np.asarray(yc, dtype=hc.dtype)
     n = hc.shape[-2]
     zc = (np.conj(np.swapaxes(hc, -1, -2)) @ yc[..., None])[..., 0] / n
     z = np.concatenate([zc.real, zc.imag], axis=-1)

@@ -63,7 +63,7 @@ def test_mmse_noiseless_recovery(rng):
 
 @pytest.mark.parametrize("shape", [(), (6,)])
 def test_mmse_matches_real_stacked_solve(rng, shape):
-    hc = draw_channels(rng, 16, 4, shape)
+    hc = draw_channels(rng, 16, 4, shape).astype(complex)
     nv = noise_variance(6.0, 4)
     obs, yc = observe(rng, hc, modulate(rng.integers(0, 2, shape + (8,))), nv)
     xhat, s = mmse_detect(obs)
@@ -75,7 +75,7 @@ def test_mmse_matches_real_stacked_solve(rng, shape):
 
 def test_mmse_shared_gram_matches_real_stacked_solve(rng):
     # one Gram per channel serves a use axis of z
-    hc = draw_channels(rng, 16, 4, (3, 1))
+    hc = draw_channels(rng, 16, 4, (3, 1)).astype(complex)
     nv = noise_variance(6.0, 4)
     obs, yc = observe(rng, np.broadcast_to(hc, (3, 5, 16, 4)),
                       modulate(rng.integers(0, 2, (3, 5, 8))), nv)
@@ -91,7 +91,7 @@ def test_mmse_shared_gram_matches_real_stacked_solve(rng):
 def test_mmse_shared_gram_matches_broadcast_solve(rng, lead):
     # one LU per shared Gram with the uses as columns against one solve per use
     k, uses = 16, 40
-    hc = draw_channels(rng, 32, k, lead + (1,) if lead else ())
+    hc = draw_channels(rng, 32, k, lead + (1,) if lead else ()).astype(complex)
     nv = noise_variance(4.0, k)
     obs, _ = observe(rng, hc, modulate(rng.integers(0, 2, lead + (uses, 2 * k))), nv)
     assert obs.G.shape == lead + ((1,) if lead else ()) + (k, k)

@@ -54,7 +54,8 @@ def test_gram_estimate_matches_real_stacked_block(rng, shape):
     # the complex estimate is the real one Y^T Y / (N P^2) - 2 sigma^2 / P^2 I
     # of the real-stacked pilot block
     nv = noise_variance(8.0, 8)
-    pilots = receive_pilots(rng, draw_channels(rng, 16, 8, shape), nv, pilot_amplitude(8))
+    hc = draw_channels(rng, 16, 8, shape).astype(complex)
+    pilots = receive_pilots(rng, hc, nv, pilot_amplitude(8))
     Y = real_stack(pilots.Y_p)
     p2 = pilots.amplitude ** 2
     ref = np.swapaxes(Y, -1, -2) @ Y / (16 * p2) - 2.0 * nv / p2 * np.eye(16)

@@ -34,7 +34,7 @@ def test_gram_is_exactly_hermitian(rng):
 
 
 def test_gram_matches_real_stacked_product(rng):
-    hc = draw_channels(rng, 16, 8)
+    hc = draw_channels(rng, 16, 8).astype(complex)
     H = real_stack(hc)
     np.testing.assert_allclose(real_stack(gram(hc)), H.T @ H / 16, rtol=1e-12, atol=1e-14)
 

@@ -23,13 +23,16 @@ def test_channel_shape_and_variance(rng):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_channel_draw_matches_summed_expression(seed):
-    # the in-place draw reproduces (a + 1j b) / sqrt(2) bit for bit, signs of
-    # zeros included, and leaves the generator in the same state
+    # the draw is the float64 expression (a + 1j b) / sqrt(2) rounded once to
+    # complex64, bit for bit and signs of zeros included, and leaves the
+    # generator in the same state
     shape = (4, 16, 8)
     rng = np.random.default_rng(seed)
     new = draw_channels(rng, 16, 8, 4)
     ref = np.random.default_rng(seed)
     old = (ref.standard_normal(shape) + 1j * ref.standard_normal(shape)) / np.sqrt(2.0)
+    old = old.astype(np.complex64)
+    assert new.dtype == np.complex64
     assert np.array_equal(new, old)
     for part in ("real", "imag"):
         assert np.array_equal(np.signbit(getattr(new, part)), np.signbit(getattr(old, part)))
@@ -82,3 +85,14 @@ def test_modulate_demodulate_round_trip(rng):
 def test_modulation_polarity():
     # bit 0 -> +1, bit 1 -> -1
     np.testing.assert_allclose(modulate(np.array([0, 1])), [1.0, -1.0])
+
+
+@pytest.mark.parametrize("bits", [[0, 1, 1], [True, False], [0.0, 1.0], np.zeros((2, 3), np.uint8)])
+def test_modulate_accepts_zero_one_values(bits):
+    np.testing.assert_array_equal(modulate(bits), 1.0 - 2.0 * np.asarray(bits, dtype=float))
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_modulate_rejects_other_values(bad):
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        modulate(np.array([0, 1, bad]))
