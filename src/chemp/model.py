@@ -93,8 +93,15 @@ def receive(hc: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     hc = as_complex(hc)
     n, k = hc.shape[-2:]
-    xc = (x[..., :k] + 1j * x[..., k:]).astype(hc.dtype)
-    return xc @ np.swapaxes(hc, -1, -2) + (w[..., :n] + 1j * w[..., n:]).astype(hc.dtype)
+    # the halves are rounded straight into hc's precision, with no
+    # complex128 temporaries
+    xc = np.empty(np.shape(x)[:-1] + (k,), hc.dtype)
+    xc.real, xc.imag = x[..., :k], x[..., k:]
+    wc = np.empty(np.shape(w)[:-1] + (n,), hc.dtype)
+    wc.real, wc.imag = w[..., :n], w[..., n:]
+    yc = xc @ np.swapaxes(hc, -1, -2)
+    yc += wc
+    return yc
 
 
 def noise_variance(snr_db: float, n_users: int) -> float:

@@ -102,8 +102,9 @@ def test_permutation_equivariance(seed):
     cfg = MpdConfig(iterations=6)
     a = mpd_detect(obs, cfg).p
     b = mpd_detect(obs_p, cfg).p
-    # float32 sums in permuted order: over 2,000 seeds the largest misfit was 3e-8
-    np.testing.assert_allclose(b, a[np.concatenate([perm, perm + 4])], **RUN_P_TOL)
+    # the float32 engine sums in permuted order, so the beliefs agree to a few
+    # ulps rather than exactly: over seeds 0-1,999 the largest misfit was 3.0e-8
+    np.testing.assert_allclose(b, a[np.concatenate([perm, perm + 4])], rtol=0.0, atol=1e-7)
 
 
 @given(st.integers(0, 2 ** 31 - 1))
