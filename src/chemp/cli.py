@@ -224,7 +224,7 @@ def _cmd_mp_law(args) -> int:
     rng = np.random.default_rng(_seed(args))
     n = args.n
     k = args.k if args.k is not None else max(1, int(round(args.alpha * n)))
-    channels = np.stack([draw_channels(rng, n, k) for _ in range(args.realizations)])
+    channels = draw_channels(rng, n, k, args.realizations)
     centers, emp, law = eigenvalue_histogram(channels, bins=args.bins)
     ks = mp_distance(channels)
     rows = [(f"{c:.6e}", f"{e:.6e}", f"{d:.6e}") for c, e, d in zip(centers, emp, law)]

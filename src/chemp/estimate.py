@@ -11,9 +11,10 @@ so no explicit channel matrix estimate is needed. The diagonal correction
 removes the pilot-noise bias E[W_p^H W_p] / (N P^2) exactly. A per-entry
 linear MMSE channel estimate is provided for the estimated-CSI MMSE baseline.
 
-The pilot block takes the precision of the channel: the pilot noise is
-drawn in float64 and rounded once, and every estimate keeps the block's
-precision (complex64 and float32 for a complex64 channel).
+The pilot block takes the precision of the channel: the pilot noise is a
+complex64 CN(0, 1) draw from the channel sampler (`model.draw_channels`'s
+polar form) scaled by sqrt(2 sigma_n^2), and every estimate keeps the
+block's precision (complex64 and float32 for a complex64 channel).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import as_complex, gram
+from .model import _complex_normal, as_complex, gram
 from .mpd import GramObservation
 
 __all__ = [
@@ -65,9 +66,8 @@ def receive_pilots(rng: np.random.Generator, hc: np.ndarray, noise_var: float,
     """Simulate the K orthogonal pilot uses of complex channels hc (..., N, K):
     column i of the block is h_i scaled by P plus receiver noise."""
     hc = as_complex(hc)
-    wc = (rng.standard_normal(hc.shape) + 1j * rng.standard_normal(hc.shape)) * np.sqrt(noise_var)
-    return PilotObservation(Y_p=amplitude * hc + wc.astype(hc.dtype), amplitude=amplitude,
-                            noise_var=noise_var)
+    wc = _complex_normal(rng, hc.shape) * np.float32(np.sqrt(2.0 * noise_var))
+    return PilotObservation(Y_p=amplitude * hc + wc, amplitude=amplitude, noise_var=noise_var)
 
 
 def estimate_gram(pilots: PilotObservation) -> np.ndarray:

@@ -258,23 +258,13 @@ def measure_exit_detector(n_antennas: int, n_users: int, snr_db: float,
     nv = noise_variance(snr_db, n_users)
     m = 2 * n_users
 
-    zs = []
-    grams = []
-    xs = []
     n, k = n_antennas, n_users
-    for _ in range(n_channels):
-        hc = draw_channels(rng, n, k)
-        x = modulate(rng.integers(0, 2, size=(uses_per_channel, m)))
-        w = rng.standard_normal((uses_per_channel, n * 2)) * np.sqrt(nv)
-        yc = receive(hc, x, w)
-        fo = matched_filter(hc, yc, nv)
-        zs.append(fo.z)
-        grams.append(fo.G)
-        xs.append(x)
-    z = np.stack(zs)                      # (B, U, 2K)
-    gram = np.stack(grams)[:, None]       # (B, 1, K, K)
-    x = np.stack(xs)
-    obs = GramObservation(G=gram, z=z, sigma_v_sq=nv / n)
+    hc = draw_channels(rng, n, k, n_channels)
+    x = modulate(rng.integers(0, 2, size=(n_channels, uses_per_channel, m)))
+    w = rng.standard_normal((n_channels, uses_per_channel, 2 * n)) * np.sqrt(nv)
+    # one Gram per channel, shared by its uses: G (B, 1, K, K), z (B, U, 2K)
+    obs = matched_filter(hc[:, None], receive(hc, x, w), nv)
+    z = obs.z
     engine = MpdEngine(obs)
 
     out = np.empty(prior_info.shape)

@@ -11,16 +11,20 @@ SNR convention: per-real-component symbol amplitude is 1 (Es = 2 per complex
 symbol) and the average received SNR is K*Es / (2*sigma_n^2), with sigma_n^2
 the variance of each real noise component.
 
-Precision: channels are drawn in complex64, each entry the float64 normal
-draw rounded once, so the random streams are those of a float64 draw. The
-front end keeps the precision of the channel it is given: `gram`,
-`receive`, the matched filter, the pilot estimates and the MMSE solve map
-complex64 to complex64 (float32 for real outputs) and complex128 to
-complex128 (float64). Symbols and noise are drawn in float64 and rounded
-once where they meet the channel. Single precision rounds each entry to a
-relative 6e-8; the Gram of N = 64 antennas then agrees with the complex128
-Gram of the same rounded channel to about 5e-7, far inside the spread of a
-channel draw.
+Precision: channels are drawn in complex64 in polar form, sqrt(E) e^{j theta}
+with E ~ Exp(1) and theta ~ U[0, 2 pi), which is exactly the CN(0, 1) law.
+The radius is the float64 exponential rounded once to float32; the phase,
+its cosine and sine are float32. numpy dispatches float32 `sin`/`cos` to
+SIMD kernels chosen for the CPU, so, as with BLAS rounding, bit-exact
+streams may differ between machines. The front end keeps the precision of
+the channel it is given: `gram`, `receive`, the matched filter, the pilot
+estimates and the MMSE solve map complex64 to complex64 (float32 for real
+outputs) and complex128 to complex128 (float64). Symbols and data noise
+are drawn in float64 and rounded once where they meet the channel; pilot
+noise comes from the channel's own sampler (`estimate`). Single
+precision rounds each entry to a relative 6e-8; the Gram of N = 64
+antennas then agrees with the complex128 Gram of the same rounded channel
+to about 5e-7, far inside the spread of a channel draw.
 """
 from __future__ import annotations
 
@@ -47,12 +51,26 @@ def draw_channels(rng: np.random.Generator, n: int, k: int, batch=()) -> np.ndar
     if k > n:
         raise ValueError("overloaded system (K > N) is not supported")
     shape = ((batch,) if np.ndim(batch) == 0 else tuple(batch)) + (n, k)
-    # (standard_normal(shape) + 1j * standard_normal(shape)) / sqrt(2), real
-    # parts first: each part is divided in float64 and rounded once
+    return _complex_normal(rng, shape)
+
+
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """CN(0, 1) entries of the given shape, complex64, in polar form.
+
+    h = sqrt(E) e^{j theta} with E ~ Exp(1) and theta ~ U[0, 2 pi)
+    independent (the complex form of Box and Muller): one float64
+    exponential and one float32 uniform per entry, in that order. The
+    exponentials are drawn into the output's own buffer, so the draw needs
+    no more memory than the channels and two float32 arrays.
+    """
     g = np.empty(shape, np.complex64)
-    part = np.empty(shape)
-    for half in (g.real, g.imag):
-        np.divide(rng.standard_normal(out=part), np.sqrt(2.0), out=half)
+    r = np.sqrt(rng.standard_exponential(out=g.view(np.float64)), dtype=np.float32)
+    th = rng.random(shape, dtype=np.float32)
+    th *= np.float32(2 * np.pi)
+    np.cos(th, out=g.real)
+    g.real *= r
+    np.sin(th, out=th)
+    np.multiply(r, th, out=g.imag)
     return g
 
 

@@ -42,6 +42,18 @@ def test_receive_pilots_shape_and_scaling(rng):
     assert batch.Y_p.shape == (3, 1, 16, 8)
 
 
+@pytest.mark.parametrize("shape", [(), (3, 1)])
+def test_pilot_noise_is_the_channel_draw_scaled(rng, shape):
+    # the pilot noise is the channel sampler's CN(0, 1) draw scaled to the
+    # complex variance 2 sigma^2, bit for bit, from the same generator calls
+    hc = draw_channels(rng, 16, 8, shape)
+    nv, amp = noise_variance(6.0, 8), pilot_amplitude(8)
+    pilots = receive_pilots(np.random.default_rng(9), hc, nv, amp)
+    noise = draw_channels(np.random.default_rng(9), 16, 8, shape) * np.float32(np.sqrt(2.0 * nv))
+    assert pilots.Y_p.dtype == np.complex64
+    assert np.array_equal(pilots.Y_p, amp * hc + noise)
+
+
 def test_gram_estimate_noiseless_exact(rng):
     hc = draw_channels(rng, 32, 16)
     pilots = receive_pilots(rng, hc, 1e-14, pilot_amplitude(16))

@@ -203,8 +203,10 @@ def test_coded_sweep_worker_invariance_and_receivers():
     a = run_coded_sweep(coded_cfg(), workers=1)
     b = run_coded_sweep(coded_cfg(), workers=2)
     assert a.points == b.points
-    sep = run_coded_sweep(coded_cfg(receiver="separate"))
-    assert sep.points[0].bits == a.points[0].bits
+    # a budget of one batch: both receivers spend it whatever their errors
+    one = dict(max_trials=10)
+    sep = run_coded_sweep(coded_cfg(receiver="separate", **one))
+    assert sep.points[0].bits == run_coded_sweep(coded_cfg(**one)).points[0].bits
 
 
 def test_coded_sweep_estimated_csi_runs():
@@ -250,18 +252,20 @@ def test_coded_sweep_point_uses_codeword_halfwidth():
 # joint when converged codewords began leaving the decoder (20 and 130/58),
 # separate-estimated when the decoder went to float32 (50 errors at 5 dB
 # before: BER 4.34e-2 against 4.25e-2, codeword-clustered 95% half-widths
-# 2.49e-2 and 2.46e-2).
-
+# 2.49e-2 and 2.46e-2). All nine re-recorded when channels and pilot noise
+# moved to the polar-form draw, which changes every stream but not the
+# distribution; the old and new counts, with their 95% half-widths, are
+# listed in CHANGES.md.
 GUARD = {
-    ("mpd", None): [(2560, 62, None, 160), (4800, 5, None, 300)],
-    ("mmse", None): [(1920, 71, None, 120), (4800, 22, None, 300)],
-    ("chemp-estimated", None): [(5120, 589, None, 40), (5120, 81, None, 40)],
-    ("mmse-estimated", None): [(5120, 586, None, 40), (5120, 147, None, 40)],
-    ("map-oracle", None): [(2400, 56, None, 300), (2400, 1, None, 300)],
-    ("joint", "perfect"): [(4608, 23, 6, 24), (4608, 0, 0, 24)],
-    ("joint", "estimated"): [(1152, 128, 6, 6), (3456, 61, 12, 18)],
-    ("separate", "perfect"): [(4608, 26, 7, 24), (4608, 0, 0, 24)],
-    ("separate", "estimated"): [(1152, 169, 6, 6), (1152, 49, 5, 6)],
+    ("mpd", None): [(3200, 62, None, 200), (4800, 6, None, 300)],
+    ("mmse", None): [(1920, 71, None, 120), (4800, 35, None, 300)],
+    ("chemp-estimated", None): [(5120, 610, None, 40), (5120, 109, None, 40)],
+    ("mmse-estimated", None): [(5120, 576, None, 40), (5120, 171, None, 40)],
+    ("map-oracle", None): [(2400, 63, None, 300), (2400, 6, None, 300)],
+    ("joint", "perfect"): [(4608, 12, 5, 24), (4608, 0, 0, 24)],
+    ("joint", "estimated"): [(1152, 173, 6, 6), (2304, 51, 9, 12)],
+    ("separate", "perfect"): [(4608, 29, 8, 24), (4608, 0, 0, 24)],
+    ("separate", "estimated"): [(1152, 217, 6, 6), (2304, 100, 8, 12)],
 }
 
 

@@ -32,11 +32,11 @@ def tiny_code():
     return build_code(regular_profile(3, 6), 64, np.random.default_rng(21))
 
 
-def coded_observation(code, n, k, snr_db, rng):
+def coded_observation(code, n, k, snr_db, rng, hc=None):
     info = rng.integers(0, 2, size=(k, code.k))
     words = encode(code, info)
     x = bits_to_symbols(words, k)              # (U, 2K)
-    hc = draw_channels(rng, n, k)
+    hc = draw_channels(rng, n, k) if hc is None else hc
     nv = noise_variance(snr_db, k)
     w = rng.normal(0.0, np.sqrt(nv), (x.shape[0], 2 * n))
     y = x @ real_stack(hc).T + w
@@ -134,19 +134,27 @@ def test_joint_beats_separate_at_moderate_snr(tiny_code, rng):
 
 
 def test_joint_batched_frames(tiny_code, rng):
-    # full loading: the last frame finishes before the round budget, the
-    # second does not, and codewords leave at different rounds
-    frames = [coded_observation(tiny_code, 8, 8, 8.0, rng)[0] for _ in range(3)]
+    # full loading, and the receiver assumes 8 dB on every frame. Two frames
+    # are received at 7 and 9 dB, so their codewords leave at different
+    # rounds; one at -5 dB, far below where the code decodes, so it runs the
+    # whole round budget; the last through an orthogonal channel (G = I) at
+    # 40 dB, error-free before decoding, so it leaves in the first round
+    snrs = (7.0, 9.0, -5.0, 40.0)
+    channels = (None, None, None, (np.sqrt(8.0) * np.eye(8)).astype(np.complex64))
+    frames = [coded_observation(tiny_code, 8, 8, snr, rng, hc)[0]
+              for snr, hc in zip(snrs, channels)]
+    for obs in frames:
+        obs.sigma_v_sq = noise_variance(8.0, 8) / 8
     both = GramObservation(G=np.stack([o.G for o in frames]),
                            z=np.stack([o.z for o in frames]),
                            sigma_v_sq=frames[0].sigma_v_sq)
     cfg = JointConfig(outer_iterations=6)
     rb = joint_detect_decode(both, tiny_code, cfg)
-    assert rb.codeword_bits.shape == (3, 8, tiny_code.n)
-    assert rb.info_bits.shape == (3, 8, tiny_code.k)
-    assert rb.success.shape == rb.rounds.shape == (3, 8)
-    assert rb.success[2].all() and rb.rounds[2].max() < rb.outer_rounds
-    assert not rb.success[1].all() and len(np.unique(rb.rounds)) > 3
+    assert rb.codeword_bits.shape == (4, 8, tiny_code.n)
+    assert rb.info_bits.shape == (4, 8, tiny_code.k)
+    assert rb.success.shape == rb.rounds.shape == (4, 8)
+    assert rb.success[3].all() and rb.rounds[3].max() < rb.outer_rounds
+    assert not rb.success[2].all() and len(np.unique(rb.rounds)) > 3
     # a frame's result does not depend on which frames share its batch
     for i, obs in enumerate(frames):
         alone = joint_detect_decode(obs, tiny_code, cfg)
@@ -213,13 +221,16 @@ def test_mutual_information_histogram_edge_cases(rng):
 
 
 def test_measure_exit_detector_reproduces_recorded_values():
-    # values recorded before the EXIT measurement moved onto MpdEngine.run;
-    # the same draws and the same damped steps must give them again
+    # values recorded with the polar-form channel draw and one batched draw
+    # of channels, symbols and noise; the same draws and the same damped
+    # steps must give them again. Over seeds 0-199 the mean at I_A = 0 is
+    # 0.3607 (sd 0.022), against 0.3594 (sd 0.020) with the per-channel
+    # normal draws these values replaced
     out = measure_exit_detector(16, 16, 0.0, [0.0, 0.3, 0.6, 0.9],
                                 np.random.default_rng(606), n_channels=6,
                                 uses_per_channel=8, mpd_cfg=MpdConfig(iterations=10))
-    recorded = [0.3358898511955062, 0.41492619154038857,
-                0.4469834166319459, 0.4500697894174259]
+    recorded = [0.33450479722754506, 0.40526737875081753,
+                0.44684087766490344, 0.44377800084241215]
     np.testing.assert_allclose(out, recorded, rtol=1e-9)
 
 
