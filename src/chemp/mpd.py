@@ -179,8 +179,11 @@ class MpdEngine:
 
     When one Gram serves a use axis of z (G shaped (..., 1, K, K) or (K, K),
     z shaped (..., U, 2K)), the step is compute-bound: the engine keeps the
-    full zero-diagonal J and its square, built once from G, and forms mu and
-    var for all U uses as one matrix product per Gram.
+    transpose of the full zero-diagonal J, J^T = [[Re G^T, Im G^T],
+    [-Im G^T, Re G^T]], and W = (J^T)**2, built once from G, and forms
+    mu = s J^T and var = q W for all U uses (rows s, q) as one matrix product
+    per Gram with no transposed operand; the row s J^T is J s for any
+    complex G, Hermitian or not.
 
     Either way the state is written in `DTYPE` straight from the complex G,
     and every step runs in it.
@@ -193,13 +196,18 @@ class MpdEngine:
         self.diag = np.concatenate([d, d], axis=-1, dtype=DTYPE)
         self.shared = obs.z.ndim >= 2 and (G.ndim == 2 or G.shape[-3] == 1)
         rows = 2 * k if self.shared else k
-        # the rows of the zero-diagonal J, written straight from complex G
+        # the upper rows of the zero-diagonal J, or all of J^T when shared,
+        # written straight from complex G
         v = np.empty(G.shape[:-2] + (rows, 2 * k), DTYPE)
-        v[..., :k, :k] = G.real
-        np.negative(G.imag, out=v[..., :k, k:])
         if self.shared:
-            v[..., k:, :k] = G.imag
-            v[..., k:, k:] = G.real
+            gt = np.swapaxes(G, -1, -2)
+            v[..., :k, :k] = gt.real
+            v[..., :k, k:] = gt.imag
+            np.negative(gt.imag, out=v[..., k:, :k])
+            v[..., k:, k:] = gt.real
+        else:
+            v[..., :k, :k] = G.real
+            np.negative(G.imag, out=v[..., :k, k:])
         idx = np.arange(rows)
         v[..., idx, idx] = 0.0
         self.v = v
@@ -219,8 +227,8 @@ class MpdEngine:
         if self.shared:
             # one Gram serves p's use axis: drop G's unit use axis, then (U, 2K) @ J^T
             gram = v.shape[:-3] + v.shape[-2:]
-            mu = s @ np.swapaxes(v.reshape(gram), -1, -2)
-            var = q @ np.swapaxes(w.reshape(gram), -1, -2) + self.sigma_v_sq
+            mu = s @ v.reshape(gram)
+            var = q @ w.reshape(gram) + self.sigma_v_sq
         else:
             mu = _stacked_product(v, s, -1.0)
             var = _stacked_product(w, q, 1.0) + self.sigma_v_sq

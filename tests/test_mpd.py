@@ -168,7 +168,7 @@ def test_engine_shared_gram_matches_tiled(rng):
     np.testing.assert_allclose(a.llr, c.llr, **RUN_LLR_TOL)
     np.testing.assert_allclose(a.p, c.p, **RUN_P_TOL)
     np.testing.assert_array_equal(hard_decision(a), hard_decision(c))
-    # shared, the engine keeps the full zero-diagonal J and J**2 once per Gram;
+    # shared, the engine keeps the zero-diagonal J^T and its square once per Gram;
     # per use, V + W hold 2 K x 2K reals per Gram; every real is a 4-byte float32
     per_use = MpdEngine(tiled)
     for eng, grams, reals in ((engine, b, 2 * (2 * k) ** 2), (per_use, b * u, 2 * k * 2 * k)):
@@ -202,8 +202,9 @@ def test_batch_mates_do_not_change_a_result(rng, shared, aitken):
 
 
 def dense_reference_llr(obs, p, clip=50.0):
-    """The detector's LLR from the full real-stacked Gram, one use at a time,
-    in float64."""
+    """The detector's LLR from the full real-stacked Gram J, as J s per use,
+    in float64; a Gram shared by a use axis (G (..., 1, K, K) or (K, K))
+    broadcasts over it."""
     p = np.asarray(p, dtype=float)
     off = real_stack(obs.G)
     d = np.diagonal(off, axis1=-2, axis2=-1).copy()
@@ -235,6 +236,24 @@ def test_engine_per_use_matches_dense_reference(rng, batch):
         p = (1.0 - cfg.damping) / (1.0 + np.exp(-L)) + cfg.damping * p
     np.testing.assert_allclose(state.llr, L, **RUN_LLR_TOL)
     np.testing.assert_allclose(state.p, p, **RUN_P_TOL)
+
+
+@pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "non-hermitian"])
+def test_engine_shared_gram_matches_dense_reference(rng, hermitian):
+    # the shared engine keeps J^T and forms s J^T; storing J there gives
+    # J^T s, which equals J s only for a Hermitian G
+    b, u, n, k = 3, 7, 16, 8
+    hc = draw_channels(rng, n, k, b)
+    yc = complex_halves(rng.standard_normal((b, u, 2 * n)))
+    obs = matched_filter(hc[:, None], yc, noise_variance(6.0, k))
+    if not hermitian:
+        skew = complex_halves(rng.standard_normal((b, 1, k, 2 * k))) / np.sqrt(n)
+        obs = GramObservation(G=obs.G + skew, z=obs.z, sigma_v_sq=obs.sigma_v_sq)
+        assert not np.allclose(obs.G, np.conj(np.swapaxes(obs.G, -1, -2)), atol=0.1)
+    engine = MpdEngine(obs)
+    assert engine.shared and engine.v.shape == (b, 1, 2 * k, 2 * k)
+    p = rng.uniform(0.05, 0.95, obs.z.shape).astype(np.float32)
+    np.testing.assert_allclose(engine.llr(p), dense_reference_llr(obs, p), **STEP_TOL)
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["per-use", "shared-gram"])
