@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .analysis import (ConvergenceReport, convergence_condition,
                        fixed_point_residuals, llr_mse_bound, llr_mse_empirical)
-from .baselines import map_oracle, mmse_detect, qfunc, siso_awgn_ber
+from .baselines import map_oracle, mmse_detect
 from .estimate import (PilotObservation, estimate_gram, estimate_z,
                        gram_observation_from_pilots, mmse_channel_estimate,
                        pilot_amplitude, receive_pilots)
@@ -28,8 +28,8 @@ from .joint import (JointConfig, JointResult, bits_to_symbols,
                     mutual_information_histogram)
 from .ldpc import (TABLE_PROFILES, DegreeProfile, LdpcCode, SumProduct,
                    bp_decode_batch, build_code, code_from_parity_check,
-                   encode, read_alist, regular_profile, write_alist)
-from .model import draw_channels, gram, modulate, noise_variance, real_stack, receive
+                   encode, regular_profile, write_alist)
+from .model import draw_channels, gram, modulate, noise_variance, real_stack, transmit
 from .mpd import (BeliefState, GramObservation, MpdConfig, MpdEngine,
                   aitken_step, hard_decision, matched_filter, mpd_detect)
 

@@ -1,13 +1,12 @@
-"""Reference detectors on the Gram-domain observation (linear MMSE and the
-exhaustive maximum-likelihood rule) and the single-user AWGN bit error rate
-under the same SNR convention."""
+"""Reference detectors on the Gram-domain observation: linear MMSE and the
+exhaustive maximum-likelihood rule."""
 from __future__ import annotations
 
 import numpy as np
 
 from .mpd import GramObservation
 
-__all__ = ["mmse_detect", "map_oracle", "siso_awgn_ber", "qfunc"]
+__all__ = ["mmse_detect", "map_oracle"]
 
 
 def mmse_detect(obs: GramObservation):
@@ -54,18 +53,3 @@ def map_oracle(obs: GramObservation) -> np.ndarray:
     cand = _candidates(m).astype(J.dtype)
     d = np.sum((cand @ J) * cand, axis=-1) - 2.0 * (obs.z @ cand.T)
     return cand[np.argmin(d, axis=-1)]
-
-
-def qfunc(x) -> np.ndarray:
-    """Gaussian tail probability Q(x)."""
-    from scipy.special import erfc  # imported here: no sweep needs scipy.special
-
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
-
-
-def siso_awgn_ber(snr_db) -> float | np.ndarray:
-    """Bit error rate of antipodal signalling over the single-user AWGN channel
-    at the same average-SNR mapping: BER = Q(sqrt(snr_linear))."""
-    lin = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
-    out = qfunc(np.sqrt(lin))
-    return float(out) if np.ndim(out) == 0 else out

@@ -27,7 +27,7 @@ from .harness import (CODED_RECEIVERS, UNCODED_RECEIVERS, BerCurve, SimConfig,
                       run_uncoded_sweep)
 from .joint import JointConfig, measure_exit_detector
 from .ldpc import build_code, write_alist
-from .model import draw_channels, gram, modulate, noise_variance, real_stack, receive
+from .model import draw_channels, gram, noise_variance, real_stack, transmit
 from .mpd import MpdConfig, matched_filter, mpd_detect
 
 # where each sweep departs from the SimConfig, MpdConfig and JointConfig defaults
@@ -200,18 +200,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_hardening(args) -> int:
     rng = np.random.default_rng(_seed(args))
-    sizes = [int(v) for v in args.n_list]
     rows = []
-    for n in sizes:
+    for n in (int(v) for v in args.n_list):
         k = max(1, int(round(args.alpha * n)))
-        reps = []
-        for _ in range(args.realizations):
-            reps.append(hardening_report(real_stack(gram(draw_channels(rng, n, k)))))
-        rows.append((n, k,
-                     float(np.mean([r.diag_mean for r in reps])),
-                     float(np.mean([r.diag_std for r in reps])),
-                     float(np.mean([r.offdiag_rms for r in reps])),
-                     float(np.mean([r.offdiag_max for r in reps]))))
+        rep = hardening_report(real_stack(gram(draw_channels(rng, n, k, args.realizations))))
+        rows.append((n, k, *(float(np.mean(v)) for v in
+                             (rep.diag_mean, rep.diag_std, rep.offdiag_rms, rep.offdiag_max))))
     _write_table(os.path.join(_out_dir(args), "hardening.csv"),
                  "n,k,diag_mean,diag_std,offdiag_rms,offdiag_max",
                  ((n, k, *(f"{v:.6e}" for v in stats)) for n, k, *stats in rows))
@@ -251,37 +245,31 @@ def _cmd_convergence(args) -> int:
     rng = np.random.default_rng(_seed(args))
     nv = noise_variance(args.snr, args.k)
     cfg = MpdConfig(**_nested(args, "mpd"), track_history=True)
-    rows = []
-    for t in range(args.trials):
-        hc = draw_channels(rng, args.n, args.k)
-        x = modulate(rng.integers(0, 2, size=2 * args.k))
-        w = rng.standard_normal(2 * args.n) * np.sqrt(nv)
-        obs = matched_filter(hc, receive(hc, x, w), nv)
-        rep = convergence_condition(obs.J)
-        state = mpd_detect(obs, cfg)
-        res = fixed_point_residuals(state)
-        hit = np.flatnonzero(res < args.tol)
-        it = int(hit[0]) + 1 if hit.size else -1
-        rows.append((t, it, rep.anti_dominance_fraction, rep.diagonal_dominance_fraction))
+    hc = draw_channels(rng, args.n, args.k, args.trials)
+    _, yc = transmit(rng, hc, nv)
+    obs = matched_filter(hc, yc[:, 0], nv)
+    rep = convergence_condition(obs.J)
+    hit = fixed_point_residuals(mpd_detect(obs, cfg)) < args.tol  # (iterations, trials)
+    iters = np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, -1)
+    anti = rep.anti_dominance.mean(axis=-1)
+    diag = rep.diagonal_dominance.mean(axis=-1)
     _write_table(os.path.join(_out_dir(args), "convergence.csv"),
                  "trial,iterations_to_tol,anti_dominance_fraction,diagonal_dominance_fraction",
-                 ((t, it, f"{a:.6f}", f"{d:.6f}") for t, it, a, d in rows))
-    reached = [r[1] for r in rows if r[1] > 0]
-    frac = len(reached) / len(rows) if rows else 0.0
-    med = float(np.median(reached)) if reached else float("nan")
+                 ((t, it, f"{a:.6f}", f"{d:.6f}") for t, (it, a, d) in
+                  enumerate(zip(iters, anti, diag))))
+    reached = iters[iters > 0]
+    med = float(np.median(reached)) if reached.size else float("nan")
     print(f"  reached tol {args.tol:g} within {cfg.iterations} iterations: "
-          f"{100 * frac:.1f}% of trials (median {med:g})")
+          f"{100 * reached.size / iters.size:.1f}% of trials (median {med:g})")
     return 0
 
 
 def _cmd_llr_mse(args) -> int:
     seed = _seed(args)
     rows = []
-    for s in args.snr:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(round(10 * s)),)))
-        emp, bound = llr_mse_empirical(args.n, args.k, s, args.trials, rng,
-                                       with_bound=True)
-        rows.append((s, emp, bound))
+    for i, s in enumerate(args.snr):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        rows.append((s, *llr_mse_empirical(args.n, args.k, s, args.trials, rng)))
     _write_table(os.path.join(_out_dir(args), "llr_mse.csv"), "snr_db,mse_empirical,mse_bound",
                  ((f"{s:g}", f"{e:.6e}", f"{b:.6e}") for s, e, b in rows))
     for s, e, b in rows:

@@ -27,27 +27,25 @@ __all__ = [
 
 @dataclass
 class HardeningReport:
-    """Summary statistics of diagonal concentration and off-diagonal leakage."""
+    """Summary statistics of diagonal concentration and off-diagonal leakage,
+    one value per matrix (floats for a single matrix)."""
 
-    diag_mean: float
-    diag_std: float
-    offdiag_rms: float
-    offdiag_max: float
+    diag_mean: float | np.ndarray
+    diag_std: float | np.ndarray
+    offdiag_rms: float | np.ndarray
+    offdiag_max: float | np.ndarray
     size: int
 
 
 def hardening_report(J: np.ndarray) -> HardeningReport:
-    """Diagonal and off-diagonal statistics of one real-stacked Gram J (2K, 2K)."""
+    """Diagonal and off-diagonal statistics of real-stacked Grams J (..., 2K, 2K)."""
     J = np.asarray(J, dtype=float)
-    d = np.diag(J)
-    off = J[~np.eye(J.shape[0], dtype=bool)]
-    return HardeningReport(
-        diag_mean=float(d.mean()),
-        diag_std=float(d.std()),
-        offdiag_rms=float(np.sqrt(np.mean(off ** 2))),
-        offdiag_max=float(np.max(np.abs(off))),
-        size=J.shape[0],
-    )
+    m = J.shape[-1]
+    d = np.diagonal(J, axis1=-2, axis2=-1)
+    off = J[..., ~np.eye(m, dtype=bool)]
+    stats = (d.mean(axis=-1), d.std(axis=-1), np.sqrt(np.mean(off ** 2, axis=-1)),
+             np.max(np.abs(off), axis=-1))
+    return HardeningReport(*(v if v.ndim else float(v) for v in stats), size=m)
 
 
 def mp_support(alpha: float) -> tuple[float, float]:

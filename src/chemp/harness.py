@@ -38,7 +38,7 @@ from .estimate import (gram_observation_from_pilots, mmse_channel_estimate,
                        pilot_amplitude, receive_pilots)
 from .joint import JointConfig, bits_to_symbols, detect_then_decode, joint_detect_decode
 from .ldpc import TABLE_PROFILES, LdpcCode, build_code, encode, regular_profile
-from .model import draw_channels, modulate, noise_variance, receive
+from .model import draw_channels, noise_variance, transmit
 from .mpd import MpdConfig, hard_decision, matched_filter, mpd_detect
 
 __all__ = [
@@ -154,14 +154,6 @@ class BerCurve:
         with open(path, "w") as f:
             json.dump(doc, f, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, path: str) -> "BerCurve":
-        with open(path) as f:
-            doc = json.load(f)
-        return cls(receiver=doc["receiver"],
-                   points=[BerPoint(**p) for p in doc["points"]],
-                   provenance=doc["provenance"])
-
 
 def _ci_halfwidth(errors: int, bits: int, codewords: int | None = None,
                   sq_errors: int = 0) -> float:
@@ -204,23 +196,19 @@ def _uncoded_batch(cfg: SimConfig, point_idx: int, batch_idx: int, n_trials: int
     """One deterministic batch; returns (bits, errors, trials)."""
     rng = _batch_rng(cfg.seed, point_idx, batch_idx)
     n, k = cfg.n_antennas, cfg.n_users
-    m = 2 * k
     nv = noise_variance(cfg.snr_db[point_idx], k)
     b = n_trials
     hc = draw_channels(rng, n, k, b)
 
     if cfg.receiver in ("mpd", "mmse", "map-oracle"):
-        x = modulate(rng.integers(0, 2, size=(b, m)))
-        w = rng.standard_normal((b, 2 * n)) * np.sqrt(nv)
-        obs = matched_filter(hc, receive(hc, x[:, None], w[:, None])[:, 0], nv)
+        x, yc = transmit(rng, hc, nv)
+        x = x[:, 0]
+        obs = matched_filter(hc, yc[:, 0], nv)
     else:
         # pilot-estimated receivers: frames of K pilot uses + data uses; the
         # pilot block gets a use axis so its statistics broadcast over the data uses
         pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k))
-        uses = cfg.frame_length - k
-        x = modulate(rng.integers(0, 2, size=(b, uses, m)))
-        w = rng.standard_normal((b, uses, 2 * n)) * np.sqrt(nv)
-        yc = receive(hc, x, w)
+        x, yc = transmit(rng, hc, nv, uses=cfg.frame_length - k)
         if cfg.receiver == "chemp-estimated":
             obs = gram_observation_from_pilots(pilots, yc)
         else:
@@ -242,13 +230,10 @@ def _coded_batch(code: LdpcCode, cfg: SimConfig, point_idx: int, batch_idx: int,
     n, k = cfg.n_antennas, cfg.n_users
     nv = noise_variance(cfg.snr_db[point_idx], k)
     b = n_trials
-    u = code.n // 2
     info = rng.integers(0, 2, size=(b, k, code.k)).astype(np.uint8)
-    cw = encode(code, info)
-    x = bits_to_symbols(cw, k)
+    x = bits_to_symbols(encode(code, info), k)
     hc = draw_channels(rng, n, k, b)
-    w = rng.standard_normal((b, u, 2 * n)) * np.sqrt(nv)
-    yc = receive(hc, x, w)
+    _, yc = transmit(rng, hc, nv, x)
     if cfg.csi == "perfect":
         obs = matched_filter(hc[:, None], yc, nv)
     else:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ldpc import LdpcCode, _ActiveSet, bp_decode_batch
-from .model import draw_channels, modulate, noise_variance, receive
+from .model import draw_channels, modulate, noise_variance, transmit
 from .mpd import (LLR_CLIP, GramObservation, MpdConfig, MpdEngine, matched_filter,
                   mpd_detect)
 
@@ -256,14 +256,10 @@ def measure_exit_detector(n_antennas: int, n_users: int, snr_db: float,
     mpd_cfg = mpd_cfg or MpdConfig()
     prior_info = np.atleast_1d(np.asarray(prior_info, dtype=float))
     nv = noise_variance(snr_db, n_users)
-    m = 2 * n_users
-
-    n, k = n_antennas, n_users
-    hc = draw_channels(rng, n, k, n_channels)
-    x = modulate(rng.integers(0, 2, size=(n_channels, uses_per_channel, m)))
-    w = rng.standard_normal((n_channels, uses_per_channel, 2 * n)) * np.sqrt(nv)
+    hc = draw_channels(rng, n_antennas, n_users, n_channels)
+    x, yc = transmit(rng, hc, nv, uses=uses_per_channel)
     # one Gram per channel, shared by its uses: G (B, 1, K, K), z (B, U, 2K)
-    obs = matched_filter(hc[:, None], receive(hc, x, w), nv)
+    obs = matched_filter(hc[:, None], yc, nv)
     z = obs.z
     engine = MpdEngine(obs)
 

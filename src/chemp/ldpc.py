@@ -37,7 +37,6 @@ __all__ = [
     "bp_decode_batch",
     "SumProduct",
     "write_alist",
-    "read_alist",
     "code_from_parity_check",
 ]
 
@@ -527,7 +526,7 @@ def bp_decode_batch(code: LdpcCode, llrs: np.ndarray, max_iters: int = 50):
 
 
 # ---------------------------------------------------------------------------
-# alist import/export
+# alist export
 
 
 def write_alist(code_or_h, path: str):
@@ -550,22 +549,3 @@ def write_alist(code_or_h, path: str):
         lines.append(" ".join(str(int(j)) for j in np.sort(nbrs)))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def read_alist(path: str) -> sparse.csr_matrix:
-    """Read an alist file (padded or unpadded) back to a sparse matrix."""
-    with open(path) as f:
-        tokens_per_line = [[int(t) for t in line.split()] for line in f if line.strip()]
-    n, m = tokens_per_line[0]
-    col_deg = tokens_per_line[2]
-    if len(col_deg) != n:
-        raise ValueError("malformed alist: column degree list length")
-    rows, cols = [], []
-    for j in range(n):
-        nbrs = [t for t in tokens_per_line[4 + j] if t > 0]
-        if len(nbrs) != col_deg[j]:
-            raise ValueError("malformed alist: column neighbor count")
-        rows.extend(i - 1 for i in nbrs)
-        cols.extend(j for _ in nbrs)
-    return sparse.csr_matrix((np.ones(len(rows), dtype=np.uint8), (rows, cols)),
-                             shape=(m, n))

@@ -1,5 +1,5 @@
-"""Uplink system model: complex channel draws, the Hermitian Gram, real
-stacking, QPSK mapping.
+"""Uplink system model: complex channel draws, channel uses, the Hermitian
+Gram, real stacking, QPSK mapping.
 
 K single-antenna users send to an N-antenna base station, y_c = H_c x_c + w_c
 with H_c of shape (N, K), x_c = x_r + j x_i a QPSK vector with components in
@@ -17,14 +17,16 @@ The radius is the float64 exponential rounded once to float32; the phase,
 its cosine and sine are float32. numpy dispatches float32 `sin`/`cos` to
 SIMD kernels chosen for the CPU, so, as with BLAS rounding, bit-exact
 streams may differ between machines. The front end keeps the precision of
-the channel it is given: `gram`, `receive`, the matched filter, the pilot
+the channel it is given: `gram`, `transmit`, the matched filter, the pilot
 estimates and the MMSE solve map complex64 to complex64 (float32 for real
-outputs) and complex128 to complex128 (float64). Symbols and data noise
-are drawn in float64 and rounded once where they meet the channel; pilot
-noise comes from the channel's own sampler (`estimate`). Single
-precision rounds each entry to a relative 6e-8; the Gram of N = 64
-antennas then agrees with the complex128 Gram of the same rounded channel
-to about 5e-7, far inside the spread of a channel draw.
+outputs) and complex128 to complex128 (float64). A drawn channel therefore
+runs the whole receiver in single precision, and a complex128 one serves
+reference computations. Symbols and data noise are drawn in float64 and
+rounded once where they meet the channel; pilot noise comes from the
+channel's own sampler (`estimate`). Single precision rounds each entry to a
+relative 6e-8; the Gram of N = 64 antennas then agrees with the complex128
+Gram of the same rounded channel to about 5e-7, far inside the spread of a
+channel draw. The detector's own working precision is `mpd.DTYPE`.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ __all__ = [
     "draw_channels",
     "gram",
     "real_stack",
-    "receive",
+    "transmit",
     "noise_variance",
     "modulate",
 ]
@@ -43,15 +45,17 @@ __all__ = [
 def draw_channels(rng: np.random.Generator, n: int, k: int, batch=()) -> np.ndarray:
     """I.i.d. unit-variance complex Gaussian channels of shape batch + (N, K), complex64.
 
-    `batch` is an int or a shape tuple; the default draws one N x K matrix.
-    Loading factor K/N must not exceed 1.
+    `batch` is an int or a shape tuple of sizes >= 1; the default draws one
+    N x K matrix. Loading factor K/N must not exceed 1.
     """
     if k < 1 or n < 1:
         raise ValueError("need at least one user and one antenna")
     if k > n:
         raise ValueError("overloaded system (K > N) is not supported")
-    shape = ((batch,) if np.ndim(batch) == 0 else tuple(batch)) + (n, k)
-    return _complex_normal(rng, shape)
+    batch = (batch,) if np.ndim(batch) == 0 else tuple(batch)
+    if min(batch, default=1) < 1:
+        raise ValueError("need at least one channel realization in each batch axis")
+    return _complex_normal(rng, batch + (n, k))
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -102,24 +106,29 @@ def real_stack(m: np.ndarray) -> np.ndarray:
     return np.concatenate([top, bot], axis=-2)
 
 
-def receive(hc: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Complex received rows y_c = x_c H_c^T + w_c over channels hc (..., N, K),
-    in hc's precision.
+def transmit(rng: np.random.Generator, hc: np.ndarray, noise_var: float, x=None,
+             uses: int = 1):
+    """Symbols and complex received rows y_c = x_c H_c^T + w_c of channel uses
+    over channels hc (..., N, K); returns (x, yc), yc in hc's precision.
 
-    x (..., 2K) holds the symbol components [x_r, x_i] and w (..., 2N) the
-    noise components [w_r, w_i], one row per channel use.
+    x (..., U, 2K) holds the symbol components [x_r, x_i], one row per use;
+    unless given, `uses` QPSK rows per channel are drawn first. The data noise
+    [w_r, w_i] is then drawn as standard normals scaled by sqrt(noise_var).
     """
     hc = as_complex(hc)
     n, k = hc.shape[-2:]
+    if x is None:
+        x = modulate(rng.integers(0, 2, size=hc.shape[:-2] + (uses, 2 * k)))
+    w = rng.standard_normal(np.shape(x)[:-1] + (2 * n,)) * np.sqrt(noise_var)
     # the halves are rounded straight into hc's precision, with no
     # complex128 temporaries
     xc = np.empty(np.shape(x)[:-1] + (k,), hc.dtype)
     xc.real, xc.imag = x[..., :k], x[..., k:]
-    wc = np.empty(np.shape(w)[:-1] + (n,), hc.dtype)
+    wc = np.empty(w.shape[:-1] + (n,), hc.dtype)
     wc.real, wc.imag = w[..., :n], w[..., n:]
     yc = xc @ np.swapaxes(hc, -1, -2)
     yc += wc
-    return yc
+    return x, yc
 
 
 def noise_variance(snr_db: float, n_users: int) -> float:

@@ -29,13 +29,9 @@ Working precision: the engine keeps the off-diagonal J, its square, the
 diagonal and z in float32 (`DTYPE`) and runs every step in it, which halves
 the bytes a step reads and doubles the width of its vector products; its
 entry points cast beliefs and priors to `DTYPE`, so a float64 input cannot
-promote a step. The coded receiver is float32 end to end: the LDPC decoder
-(`ldpc.SumProduct`) runs in the same `DTYPE` and takes the detector LLRs
-as they are. The observation takes the precision of the channel (see
-`model`): a complex64 channel, as `model.draw_channels` gives, makes a
-complex64 G and a float32 z, so the channel draw, matched filter, detector,
-MMSE and decoder all run in single precision; a complex128 channel keeps a
-complex128 G and float64 z for reference computations. Float32
+promote a step. The LDPC decoder (`ldpc.SumProduct`) runs in the same
+`DTYPE` and takes the detector LLRs as they are. The observation keeps the
+precision of the channel, as the whole front end does (see `model`). Float32
 rounds each term to a relative 6e-8, and a sum over 2K terms to at most
 about 2K times that, so an LLR moves by about 1e-4 at the clip bound. The
 Gaussian approximation the detector rests on is coarser by orders of

@@ -31,7 +31,6 @@ from chemp import (
     llr_mse_empirical,
     map_oracle,
     matched_filter,
-    modulate,
     mp_distance,
     mpd_detect,
     noise_variance,
@@ -39,6 +38,7 @@ from chemp import (
     run_coded_sweep,
     run_uncoded_sweep,
     real_stack,
+    transmit,
 )
 
 
@@ -74,9 +74,8 @@ def test_ac01_hardening_ratio():
     rng = np.random.default_rng(101)
 
     def mean_rms(n):
-        vals = [hardening_report(real_stack(gram(draw_channels(rng, n, n)))).offdiag_rms
-                for _ in range(100)]
-        return float(np.mean(vals))
+        rep = hardening_report(real_stack(gram(draw_channels(rng, n, n, 100))))
+        return float(np.mean(rep.offdiag_rms))
 
     ratio = mean_rms(64) / mean_rms(16)
     ok = 0.4 <= ratio <= 0.6
@@ -101,11 +100,8 @@ def test_ac03_map_agreement():
     nv = noise_variance(10.0, k)
     agree = 0
     for _ in range(trials // batch):
-        hcs = np.stack([draw_channels(rng, n, k) for _ in range(batch)])
-        x = modulate(rng.integers(0, 2, size=(batch, 2 * k)))
-        w = rng.normal(0, np.sqrt(nv), (batch, 2 * n))
-        yc = (hcs @ (x[:, :k] + 1j * x[:, k:])[..., None])[..., 0] + (w[:, :n] + 1j * w[:, n:])
-        obs = matched_filter(hcs, yc, nv)
+        hcs = draw_channels(rng, n, k, batch)
+        obs = matched_filter(hcs, transmit(rng, hcs, nv)[1][:, 0], nv)
         xh = hard_decision(mpd_detect(obs, MpdConfig()))
         xm = map_oracle(obs)
         agree += int(np.sum(np.all(xh == xm, axis=-1)))
@@ -142,24 +138,16 @@ def test_ac05_acceleration_iteration_count():
     rng = np.random.default_rng(105)
     n = k = 64
     nv = noise_variance(12.0, k)
+    hc = draw_channels(rng, n, k, 200)
+    obs = matched_filter(hc, transmit(rng, hc, nv)[1][:, 0], nv)
 
-    def iters_to_tol(cfg, hc, yc):
-        state = mpd_detect(matched_filter(hc, yc, nv), cfg)
-        res = fixed_point_residuals(state)
-        hit = np.nonzero(res < 1e-3)[0]
-        return int(hit[0]) + 1 if hit.size else cfg.iterations
+    def median_iters_to_tol(cfg):
+        hit = fixed_point_residuals(mpd_detect(obs, cfg)) < 1e-3  # (iterations, trials)
+        return float(np.median(np.where(hit.any(axis=0), hit.argmax(axis=0) + 1,
+                                        cfg.iterations)))
 
-    plain_cfg = MpdConfig(track_history=True)
-    fast_cfg = MpdConfig(track_history=True, aitken=True)
-    plain, fast = [], []
-    for _ in range(200):
-        hc = draw_channels(rng, n, k)
-        x = modulate(rng.integers(0, 2, 2 * k))
-        y = real_stack(hc) @ x + rng.normal(0, np.sqrt(nv), 2 * n)
-        yc = y[:n] + 1j * y[n:]
-        plain.append(iters_to_tol(plain_cfg, hc, yc))
-        fast.append(iters_to_tol(fast_cfg, hc, yc))
-    mp, mf = float(np.median(plain)), float(np.median(fast))
+    mp = median_iters_to_tol(MpdConfig(track_history=True))
+    mf = median_iters_to_tol(MpdConfig(track_history=True, aitken=True))
     ok = mf < mp
     line = verdict(5, ok, f"median iterations to residual<1e-3: {mf:g} with "
                           f"acceleration vs {mp:g} without (200 trials)")
@@ -243,8 +231,7 @@ def test_ac09_llr_error_bound():
     rng = np.random.default_rng(109)
     rows = []
     for snr in (8.0, 10.0, 12.0):
-        mse, bound = llr_mse_empirical(64, 64, snr, trials=1000, rng=rng,
-                                       with_bound=True)
+        mse, bound = llr_mse_empirical(64, 64, snr, trials=1000, rng=rng)
         rows.append((snr, mse, bound))
     dominated = all(m <= b for _, m, b in rows)
     monotone = rows[0][1] > rows[1][1] > rows[2][1]

@@ -11,10 +11,10 @@ from chemp import (
     llr_mse_bound,
     llr_mse_empirical,
     matched_filter,
-    modulate,
     mpd_detect,
     noise_variance,
     real_stack,
+    transmit,
 )
 
 
@@ -41,16 +41,14 @@ def test_convergence_condition_hardening_improves_with_antennas(rng):
 
 
 def test_fixed_point_residuals_decrease(rng):
-    hc = draw_channels(rng, 64, 16)
-    x = modulate(rng.integers(0, 2, 32))
+    hc = draw_channels(rng, 64, 16, 3)
     nv = noise_variance(12.0, 16)
-    y = real_stack(hc) @ x + rng.normal(0, np.sqrt(nv), 128)
-    state = mpd_detect(matched_filter(hc, y[:64] + 1j * y[64:], nv),
+    state = mpd_detect(matched_filter(hc, transmit(rng, hc, nv)[1][:, 0], nv),
                        MpdConfig(iterations=20, track_history=True))
     res = fixed_point_residuals(state)
-    assert res.shape == (20,)
-    assert res[-1] < res[0]
-    assert res[-1] < 1e-3
+    assert res.shape == (20, 3)
+    assert np.all(res[-1] < res[0])
+    assert np.all(res[-1] < 1e-3)
 
 
 def test_fixed_point_residuals_requires_history(rng):
@@ -87,13 +85,18 @@ def test_llr_mse_bound_validation():
 
 
 def test_llr_mse_empirical_below_bound(rng):
-    mse, bound = llr_mse_empirical(32, 32, 10.0, trials=200, rng=rng,
-                                   with_bound=True)
+    mse, bound = llr_mse_empirical(32, 32, 10.0, trials=200, rng=rng)
     assert mse > 0
     assert mse <= bound
 
 
 def test_llr_mse_empirical_decreases_with_snr(rng):
-    lo = llr_mse_empirical(32, 32, 6.0, trials=150, rng=rng)
-    hi = llr_mse_empirical(32, 32, 14.0, trials=150, rng=rng)
+    lo, _ = llr_mse_empirical(32, 32, 6.0, trials=150, rng=rng)
+    hi, _ = llr_mse_empirical(32, 32, 14.0, trials=150, rng=rng)
     assert hi < lo
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_llr_mse_empirical_needs_a_trial(rng, trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        llr_mse_empirical(8, 4, 10.0, trials=trials, rng=rng)

@@ -1,4 +1,4 @@
-"""Reference detectors and the single-antenna error-rate benchmark."""
+"""Reference detectors on the Gram-domain observation."""
 
 import itertools
 import os
@@ -17,18 +17,15 @@ from chemp import (
     mmse_detect,
     modulate,
     noise_variance,
-    qfunc,
     real_stack,
-    siso_awgn_ber,
+    transmit,
 )
 
 
 def observe(rng, hc, x, nv):
-    """Complex received vectors for real-stacked symbols x and their
-    matched-filter observation; returns (obs, yc)."""
-    n, k = hc.shape[-2:]
-    w = rng.normal(0.0, np.sqrt(nv), x.shape[:-1] + (2 * n,))
-    yc = (hc @ (x[..., :k] + 1j * x[..., k:])[..., None])[..., 0] + (w[..., :n] + 1j * w[..., n:])
+    """Complex received vectors for real-stacked symbols x, one use per row,
+    and their matched-filter observation; returns (obs, yc)."""
+    yc = transmit(rng, hc, nv, x[..., None, :])[1][..., 0, :]
     return matched_filter(hc, yc, nv), yc
 
 
@@ -150,15 +147,9 @@ def test_map_oracle_noiseless_exact(rng):
     np.testing.assert_array_equal(map_oracle(observe(rng, hc, x, 1e-12)[0]), x)
 
 
-def test_qfunc_values():
-    assert qfunc(0.0) == pytest.approx(0.5)
-    assert qfunc(1.96) == pytest.approx(0.025, abs=1e-3)
-    assert qfunc(np.inf) == 0.0
-    assert qfunc(-np.inf) == 1.0
-
-
 def test_import_loads_no_scipy_special_or_integrate():
-    # qfunc and mp_cdf import them on first call; no sweep calls either
+    # mp_cdf imports scipy.integrate on first call and nothing imports
+    # scipy.special; no sweep loads either
     code = ("import sys, chemp; "
             "print([m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(chemp.__file__))  # this chemp, not an installed one
@@ -167,16 +158,3 @@ def test_import_loads_no_scipy_special_or_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=env)
     assert out.stdout.strip() == "[]"
-
-
-def test_siso_awgn_ber_formula():
-    # argument is in dB; BER = Q(sqrt(snr_linear)) for antipodal signaling
-    for db in [0.0, 6.0, 9.6]:
-        lin = 10.0 ** (db / 10.0)
-        assert siso_awgn_ber(db) == pytest.approx(qfunc(np.sqrt(lin)))
-
-
-def test_siso_awgn_ber_monotone():
-    snr_db = np.linspace(-5.0, 13.0, 50)
-    ber = siso_awgn_ber(snr_db)
-    assert np.all(np.diff(ber) < 0)

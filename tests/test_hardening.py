@@ -57,8 +57,22 @@ def test_offdiagonal_rms_scale(rng):
 def test_hardening_report_fields(rng):
     r = hardening_report(make_gram(64, 32, rng))
     assert r.size == 64
+    assert all(type(v) is float for v in (r.diag_mean, r.diag_std, r.offdiag_rms,
+                                           r.offdiag_max))
     assert r.diag_mean == pytest.approx(1.0, abs=0.2)
     assert 0 < r.offdiag_rms <= r.offdiag_max
+
+
+def test_hardening_report_batched_matches_per_matrix(rng):
+    J = real_stack(gram(draw_channels(rng, 16, 8, (2, 3))))
+    batched = hardening_report(J)
+    assert batched.size == 16
+    for i, j in np.ndindex(2, 3):
+        single = hardening_report(J[i, j])
+        for name in ("diag_mean", "diag_std", "offdiag_rms", "offdiag_max"):
+            assert getattr(batched, name).shape == (2, 3)
+            assert getattr(batched, name)[i, j] == pytest.approx(getattr(single, name),
+                                                                 rel=1e-12)
 
 
 def test_mp_support():

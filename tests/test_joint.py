@@ -21,8 +21,8 @@ from chemp import (
     mpd_detect,
     mutual_information_histogram,
     noise_variance,
-    real_stack,
     regular_profile,
+    transmit,
 )
 
 
@@ -35,12 +35,10 @@ def tiny_code():
 def coded_observation(code, n, k, snr_db, rng, hc=None):
     info = rng.integers(0, 2, size=(k, code.k))
     words = encode(code, info)
-    x = bits_to_symbols(words, k)              # (U, 2K)
     hc = draw_channels(rng, n, k) if hc is None else hc
     nv = noise_variance(snr_db, k)
-    w = rng.normal(0.0, np.sqrt(nv), (x.shape[0], 2 * n))
-    y = x @ real_stack(hc).T + w
-    obs = matched_filter(hc[None], y[:, :n] + 1j * y[:, n:], nv)  # shared G, one z row per use
+    _, yc = transmit(rng, hc, nv, bits_to_symbols(words, k))  # (U, N)
+    obs = matched_filter(hc[None], yc, nv)  # shared G, one z row per use
     return obs, info, words
 
 

@@ -14,7 +14,6 @@ from chemp import (
     build_code,
     code_from_parity_check,
     encode,
-    read_alist,
     regular_profile,
     write_alist,
 )
@@ -214,12 +213,18 @@ def test_syndrome_batched(small_regular):
     np.testing.assert_array_equal(ok, [True, True, False, True])
 
 
-def test_alist_round_trip(tmp_path, small_irregular):
-    path = tmp_path / "code.alist"
-    write_alist(small_irregular, str(path))
-    h = read_alist(str(path))
-    assert sparse.issparse(h)
-    np.testing.assert_array_equal(h.toarray(), small_irregular.parity_check.toarray())
+def test_write_alist_exact_text(tmp_path):
+    # n m, max column and row degrees, the degree lists, then each column's
+    # and each row's 1-based neighbours, unpadded; dense or sparse H alike
+    h = np.array([[1, 1, 0, 1],
+                  [0, 1, 1, 0],
+                  [1, 0, 0, 1]])
+    for form in (np.array, sparse.csr_matrix):
+        path = tmp_path / "code.alist"
+        write_alist(form(h), str(path))
+        assert path.read_text() == ("4 3\n2 3\n2 2 1 2\n3 2 2\n"
+                                    "1 3\n1 2\n2\n1 3\n"
+                                    "1 2 4\n2 3\n1 4\n")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from chemp import draw_channels, modulate, noise_variance, real_stack
+from chemp import draw_channels, modulate, noise_variance, real_stack, transmit
 
 
 def test_channel_shape_and_variance(rng):
@@ -20,6 +20,9 @@ def test_channel_shape_and_variance(rng):
     assert draw_channels(rng, 8, 4, (2, 3)).shape == (2, 3, 8, 4)
     with pytest.raises(ValueError):
         draw_channels(rng, 16, 32)  # overloaded
+    for empty in (0, -3, (2, 0)):
+        with pytest.raises(ValueError, match="at least one channel realization"):
+            draw_channels(rng, 8, 4, empty)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -70,6 +73,34 @@ def test_channel_draw_distribution():
     old = (ref.standard_normal(hc.shape) + 1j * ref.standard_normal(hc.shape)) / np.sqrt(2.0)
     np.testing.assert_allclose(eigenvalue_quantiles(hc, q), eigenvalue_quantiles(old, q),
                                rtol=0, atol=0.03)
+
+
+@pytest.mark.parametrize("batch, uses", [((), 1), (5, 1), ((2, 3), 4)])
+@pytest.mark.parametrize("given", [False, True], ids=["drawn", "given"])
+def test_transmit_draw_order(batch, uses, given):
+    # symbols (unless given) as integers -> modulate, then the data noise as
+    # standard normals times sqrt(nv), both drawn in float64; y_c formed in
+    # the channel's precision: bit for bit, and the generator left as after
+    # the explicit draws
+    n, k, nv = 8, 4, 0.3
+    hc = draw_channels(np.random.default_rng(1), n, k, batch)
+    lead = hc.shape[:-2] + (uses,)
+    ref = np.random.default_rng(2)
+    x = modulate(ref.integers(0, 2, size=lead + (2 * k,)))
+    w = ref.standard_normal(lead + (2 * n,)) * np.sqrt(nv)
+    rng = np.random.default_rng(2)
+    if given:
+        rng.integers(0, 2, size=lead + (2 * k,))
+    got_x, yc = transmit(rng, hc, nv, x.copy() if given else None, uses=uses)
+    assert got_x.dtype == np.float64 and np.array_equal(got_x, x)
+    xc = (x[..., :k] + 1j * x[..., k:]).astype(np.complex64)
+    want = xc @ np.swapaxes(hc, -1, -2) + (w[..., :n] + 1j * w[..., n:]).astype(np.complex64)
+    assert yc.dtype == np.complex64 and np.array_equal(yc, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # independently: the real-stacked channel model in float64
+    y = (real_stack(hc.astype(complex))[..., None, :, :] @ x[..., None])[..., 0] + w
+    np.testing.assert_allclose(np.concatenate([yc.real, yc.imag], axis=-1), y,
+                               rtol=0, atol=1e-5)
 
 
 def test_real_stacking_block_structure(rng):

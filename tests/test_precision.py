@@ -14,9 +14,8 @@ from chemp import (
     map_oracle,
     matched_filter,
     mmse_detect,
-    modulate,
     noise_variance,
-    receive,
+    transmit,
 )
 from chemp.estimate import (
     estimate_gram,
@@ -28,20 +27,12 @@ from chemp.estimate import (
 )
 
 # Largest misfits between the complex64 and complex128 paths over 300 seeds
-# (N = 64, K = 32, 10 dB), relative to max(|reference|, 1): G and z 4.6e-7,
-# the pilot estimates 5.0e-7, the first-step LLRs 1.1e-6 and the LLRs after
-# 10 steps 5.1e-6. The tolerances leave a factor of 10 or more.
+# (N = 64, K = 32, 10 dB, the same draws in both), relative to
+# max(|reference|, 1): G 3.8e-7, z 5.6e-7, the pilot estimates 5.7e-7, the
+# first-step LLRs 2.1e-6 and the LLRs after 10 steps 1.2e-5. The tolerances
+# leave a factor of 4.7 or more.
 FRONT_TOL = dict(rtol=1e-5, atol=1e-5)
 LLR_TOL = dict(rtol=1e-4, atol=1e-4)
-
-
-def uses(rng, hc, snr_db, n_uses):
-    """Symbols and noise components of `n_uses` uses of channels hc (..., N, K)."""
-    n, k = hc.shape[-2:]
-    lead = hc.shape[:-2]
-    x = modulate(rng.integers(0, 2, lead + (n_uses, 2 * k)))
-    w = rng.standard_normal(lead + (n_uses, 2 * n)) * np.sqrt(noise_variance(snr_db, k))
-    return x, w
 
 
 @pytest.mark.parametrize("ctype", [np.complex64, np.complex128])
@@ -49,11 +40,10 @@ def test_front_end_keeps_the_channel_precision(rng, ctype):
     real = np.finfo(ctype).dtype
     b, u, n, k = 2, 3, 16, 4
     hc = draw_channels(rng, n, k, b).astype(ctype)
-    x, w = uses(rng, hc, 8.0, u)
-    yc = receive(hc, x, w)
-    assert yc.dtype == ctype
-    assert gram(hc).dtype == ctype
     nv = noise_variance(8.0, k)
+    x, yc = transmit(rng, hc, nv, uses=u)
+    assert x.dtype == np.float64 and yc.dtype == ctype
+    assert gram(hc).dtype == ctype
     for obs in (matched_filter(hc[:, None], yc, nv), matched_filter(hc, yc[:, 0], nv)):
         assert obs.G.dtype == ctype and obs.z.dtype == real
         x_hat, s = mmse_detect(obs)
@@ -73,23 +63,24 @@ def test_front_end_keeps_the_channel_precision(rng, ctype):
 
 
 def test_complex64_front_end_matches_complex128(rng):
-    # the same rounded channel, received vectors and pilot noise through both
-    # precisions; only the arithmetic differs
+    # the same rounded channel, and the same symbols, data noise and pilot
+    # noise from two generators seeded alike, through both precisions; the
+    # received vectors differ by one rounding, and then only the arithmetic
     b, u, n, k = 3, 5, 64, 32
     nv = noise_variance(10.0, k)
     h32 = draw_channels(rng, n, k, b)
     h64 = h32.astype(complex)
-    x, w = uses(rng, h32, 10.0, u)
-    y32 = receive(h32, x, w)
-    y64 = y32.astype(complex)
+    seed = rng.integers(2 ** 32)
+    r32, r64 = np.random.default_rng(seed), np.random.default_rng(seed)
+    _, y32 = transmit(r32, h32, nv, uses=u)
+    _, y64 = transmit(r64, h64, nv, uses=u)
     o32 = matched_filter(h32[:, None], y32, nv)
     o64 = matched_filter(h64[:, None], y64, nv)
     np.testing.assert_allclose(o32.G, o64.G, **FRONT_TOL)
     np.testing.assert_allclose(o32.z, o64.z, **FRONT_TOL)
     # the pilot block draws the same normals whatever the channel's precision
-    seed = rng.integers(2 ** 32)
-    p32 = receive_pilots(np.random.default_rng(seed), h32[:, None], nv, pilot_amplitude(k))
-    p64 = receive_pilots(np.random.default_rng(seed), h64[:, None], nv, pilot_amplitude(k))
+    p32 = receive_pilots(r32, h32[:, None], nv, pilot_amplitude(k))
+    p64 = receive_pilots(r64, h64[:, None], nv, pilot_amplitude(k))
     np.testing.assert_allclose(p32.Y_p, p64.Y_p, **FRONT_TOL)
     np.testing.assert_allclose(estimate_gram(p32), estimate_gram(p64), **FRONT_TOL)
     np.testing.assert_allclose(estimate_z(p32, y32), estimate_z(p64, y64), **FRONT_TOL)
@@ -110,9 +101,8 @@ def test_complex64_mmse_matches_complex128_when_ill_conditioned(rng):
     U = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
     V = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
     h32 = ((U * (np.sqrt(n) * np.logspace(0, -1.5, k))) @ V.conj().T).astype(np.complex64)
-    x, w = uses(rng, h32, 30.0, u)
-    y32 = receive(h32, x, w)
     nv = noise_variance(30.0, k)
+    _, y32 = transmit(rng, h32, nv, uses=u)
     o32 = matched_filter(h32, y32, nv)
     o64 = matched_filter(h32.astype(complex), y32.astype(complex), nv)
     cond = np.linalg.cond(o64.G + o64.sigma_v_sq * np.eye(k))
