@@ -31,6 +31,6 @@ from .ldpc import (TABLE_PROFILES, DegreeProfile, LdpcCode, SumProduct,
                    encode, regular_profile, write_alist)
 from .model import draw_channels, gram, modulate, noise_variance, real_stack, transmit
 from .mpd import (BeliefState, GramObservation, MpdConfig, MpdEngine,
-                  aitken_step, hard_decision, matched_filter, mpd_detect)
+                  hard_decision, matched_filter, mpd_detect)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimate import estimate_gram, estimate_z, receive_pilots
 from .model import draw_channels, noise_variance, transmit
-from .mpd import BeliefState, matched_filter
+from .mpd import MpdConfig, MpdEngine, matched_filter
 
 __all__ = [
     "ConvergenceReport",
@@ -33,14 +33,6 @@ class ConvergenceReport:
     anti_dominance: np.ndarray
     diagonal_dominance: np.ndarray
 
-    @property
-    def anti_dominance_fraction(self) -> float:
-        return float(np.mean(self.anti_dominance))
-
-    @property
-    def diagonal_dominance_fraction(self) -> float:
-        return float(np.mean(self.diagonal_dominance))
-
 
 def convergence_condition(J: np.ndarray) -> ConvergenceReport:
     """Evaluate both row-wise indicators on J.
@@ -57,17 +49,22 @@ def convergence_condition(J: np.ndarray) -> ConvergenceReport:
     )
 
 
-def fixed_point_residuals(state: BeliefState | list) -> np.ndarray:
-    """Sup-norm residuals ||p_t - p_{t-1}||_inf along a belief history.
+def fixed_point_residuals(engine: MpdEngine, cfg: MpdConfig) -> np.ndarray:
+    """Sup-norm residuals ||p_t - p_{t-1}||_inf of the damped loop `cfg` from
+    uniform beliefs, one row per step (iterations, ...).
 
-    For batched histories the norm is over the trailing symbol axis, keeping
-    per-trial sequences. Requires a history-tracking detector run.
+    For batched observations the norm is over the trailing symbol axis,
+    keeping per-trial sequences. The residuals are taken as the loop yields
+    its iterates, so only two belief arrays are held at a time.
     """
-    history = state.history if isinstance(state, BeliefState) else state
-    if history is None or len(history) < 2:
-        raise ValueError("need a belief history with at least two snapshots")
-    arr = np.stack(history)
-    return np.max(np.abs(arr[1:] - arr[:-1]), axis=-1)
+    if cfg.iterations < 1:
+        raise ValueError("need at least one detector step")
+    prev = engine.uniform_beliefs()
+    res = []
+    for _, p in engine.iterate(cfg):
+        res.append(np.max(np.abs(p - prev), axis=-1))
+        prev = p
+    return np.stack(res)
 
 
 def llr_mse_bound(sigma_v_sq: float, alpha: float, n_antennas: int,

@@ -28,7 +28,7 @@ from .harness import (CODED_RECEIVERS, UNCODED_RECEIVERS, BerCurve, SimConfig,
 from .joint import JointConfig, measure_exit_detector
 from .ldpc import build_code, write_alist
 from .model import draw_channels, gram, noise_variance, real_stack, transmit
-from .mpd import MpdConfig, matched_filter, mpd_detect
+from .mpd import MpdConfig, MpdEngine, matched_filter
 
 # where each sweep departs from the SimConfig, MpdConfig and JointConfig defaults
 _SWEEP_DEFAULTS = {
@@ -244,12 +244,12 @@ def _cmd_exit(args) -> int:
 def _cmd_convergence(args) -> int:
     rng = np.random.default_rng(_seed(args))
     nv = noise_variance(args.snr, args.k)
-    cfg = MpdConfig(**_nested(args, "mpd"), track_history=True)
+    cfg = MpdConfig(**_nested(args, "mpd"))
     hc = draw_channels(rng, args.n, args.k, args.trials)
     _, yc = transmit(rng, hc, nv)
     obs = matched_filter(hc, yc[:, 0], nv)
     rep = convergence_condition(obs.J)
-    hit = fixed_point_residuals(mpd_detect(obs, cfg)) < args.tol  # (iterations, trials)
+    hit = fixed_point_residuals(MpdEngine(obs), cfg) < args.tol  # (iterations, trials)
     iters = np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, -1)
     anti = rep.anti_dominance.mean(axis=-1)
     diag = rep.diagonal_dominance.mean(axis=-1)
@@ -279,7 +279,7 @@ def _cmd_llr_mse(args) -> int:
 
 def _cmd_opcount(args) -> int:
     mpd = count_operations("mpd", args.n, args.k, args.iters)
-    mmse = count_operations("mmse", args.n, args.k, args.iters)
+    mmse = count_operations("mmse", args.n, args.k)
     ratio = mpd.total / mmse.total
     print(f"n_antennas {args.n}  n_users {args.k}  iterations {args.iters}")
     print(f"  mpd  : {mpd.total:,.0f} real ops  {mpd.breakdown}")
@@ -325,7 +325,7 @@ def _build_parser() -> _Parser:
          "uses per frame in estimated-CSI modes (default 2K)", type=int)
 
     flag = _add_sweep(sub, "coded", CODED_RECEIVERS,
-                      help="coded BER sweep (joint or separate)",
+                      help="coded BER sweep (joint or separate, perfect or estimated CSI)",
                       description="Coded BER/FER vs SNR over block-fading frames.")
     flag("--code", "code_spec", "code spec: table profile name or regular-DV-DC")
     flag("--block-length", "block_length", "code length n", type=int)
@@ -336,7 +336,6 @@ def _build_parser() -> _Parser:
          type=int)
     flag("--decoder-iters", "decoder_iterations", "decoder budget of the separate baseline",
          type=int)
-    flag("--csi", "csi", "channel knowledge: perfect or estimated from pilots")
 
     sp = sub.add_parser("hardening", help="Gram concentration vs size",
                         description="Diagonal/off-diagonal statistics of J over sizes.")

@@ -72,34 +72,27 @@ def mp_density(x, alpha: float) -> np.ndarray:
     return out
 
 
-def _mp_cdf_scalar(x: float, alpha: float) -> float:
-    from scipy import integrate  # imported here: no sweep needs scipy.integrate
-
-    a, b = mp_support(alpha)
-    if x <= a:
-        return 0.0
-    if x >= b:
-        return 1.0
-    # substitute x = a + (b-a) sin^2 t: the integrand becomes smooth even at
-    # alpha = 1 where the density has an inverse-sqrt edge
-    t_hi = np.arcsin(np.sqrt((x - a) / (b - a)))
-    w = b - a
-
-    def g(t):
-        s2 = np.sin(t) ** 2
-        xx = a + w * s2
-        return (w ** 2) * 2.0 * s2 * (1.0 - s2) / (2.0 * np.pi * alpha * xx)
-
-    val, _ = integrate.quad(g, 0.0, t_hi, limit=200)
-    return min(max(val, 0.0), 1.0)
-
-
 def mp_cdf(x, alpha: float) -> np.ndarray:
-    """CDF of the Marchenko-Pastur law, by numerical quadrature."""
+    """CDF of the Marchenko-Pastur law, in closed form. On the support (a, b)
+
+        F(x) = 1/2 + (r + (1 + alpha) asin u - (1 - alpha) asin v) / (2 pi alpha)
+
+    with r = sqrt((x - a)(b - x)), u = (2x - a - b) / (b - a) and
+    v = ((a + b) x - 2ab) / ((b - a) x); 0 below it and 1 above."""
     _check_alpha(alpha)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([_mp_cdf_scalar(v, alpha) for v in xs])
-    return out if np.ndim(x) else out[0]
+    x = np.asarray(x, dtype=float)
+    a, b = mp_support(alpha)
+    inside = (x > a) & (x < b)
+    out = np.zeros_like(x)
+    out[x >= b] = 1.0
+    xs = x[inside]
+    r = np.sqrt((xs - a) * (b - xs))
+    # u and v lie in [-1, 1] on the support; the clip only absorbs rounding
+    u = np.clip((2.0 * xs - a - b) / (b - a), -1.0, 1.0)
+    v = np.clip(((a + b) * xs - 2.0 * a * b) / ((b - a) * xs), -1.0, 1.0)
+    out[inside] = 0.5 + (r + (1.0 + alpha) * np.arcsin(u)
+                         - (1.0 - alpha) * np.arcsin(v)) / (2.0 * np.pi * alpha)
+    return out if out.ndim else out[()]
 
 
 def _normalized_eigs(hc: np.ndarray) -> np.ndarray:
@@ -109,32 +102,28 @@ def _normalized_eigs(hc: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(gram(hc)).ravel()
 
 
-def mp_distance(channels: np.ndarray, alpha: float | None = None) -> float:
+def mp_distance(channels: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance between pooled empirical eigenvalues of the
     normalized complex Gram matrices of channels (..., N, K) and the
-    Marchenko-Pastur CDF."""
+    Marchenko-Pastur CDF of ratio K/N."""
     channels = np.asarray(channels)
     eigs = np.sort(_normalized_eigs(channels))
-    if alpha is None:
-        alpha = channels.shape[-1] / channels.shape[-2]
-    _check_alpha(alpha)
     n = eigs.size
-    ref = mp_cdf(eigs, alpha)
+    ref = mp_cdf(eigs, channels.shape[-1] / channels.shape[-2])
     upper = np.arange(1, n + 1) / n - ref
     lower = ref - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
 
 
-def eigenvalue_histogram(channels: np.ndarray, bins: int = 40, alpha: float | None = None):
+def eigenvalue_histogram(channels: np.ndarray, bins: int = 40):
     """Histogram of pooled normalized eigenvalues of channels (..., N, K) with
-    the MP density overlay.
+    the MP density overlay of ratio K/N.
 
     Returns (bin_centers, empirical_density, mp_density_values).
     """
     channels = np.asarray(channels)
     eigs = _normalized_eigs(channels)
-    if alpha is None:
-        alpha = channels.shape[-1] / channels.shape[-2]
+    alpha = channels.shape[-1] / channels.shape[-2]
     a, b = mp_support(alpha)
     lo = min(a, float(eigs.min()))
     hi = max(b, float(eigs.max()))

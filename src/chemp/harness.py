@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 UNCODED_RECEIVERS = ("mpd", "chemp-estimated", "mmse", "mmse-estimated", "map-oracle")
-CODED_RECEIVERS = ("joint", "separate")
+CODED_RECEIVERS = ("joint", "joint-estimated", "separate", "separate-estimated")
 
 
 @dataclass
@@ -64,9 +64,11 @@ class SimConfig:
     """Everything a sweep needs; hashable to a provenance fingerprint.
 
     Symbols are QPSK with Es = 2 per complex symbol, the SNR convention of
-    `model.noise_variance`. `mpd` is the detector loop's schedule and `joint`
-    the joint receiver's outer schedule; every other knob of either lives
-    there and nowhere else.
+    `model.noise_variance`. The receiver name carries the channel knowledge:
+    a name ending in "-estimated" reads (G, z) from pilots, any other the
+    true channel. `mpd` is the detector loop's schedule and `joint` the joint
+    receiver's outer schedule; every other knob of either lives there and
+    nowhere else.
     """
 
     n_antennas: int
@@ -78,13 +80,12 @@ class SimConfig:
     target_errors: int = 100
     max_trials: int = 100_000
     batch_size: int = 100
-    frame_length: int | None = None  # uncoded estimated-CSI: K pilot + rest data
+    frame_length: int | None = None  # uncoded estimated-CSI: K pilot + rest data (2K)
     # coded mode only
     code_spec: str | None = None
     block_length: int = 1000
     joint: JointConfig = field(default_factory=JointConfig)
     decoder_iterations: int = 40
-    csi: str = "perfect"
 
     def __post_init__(self):
         if self.n_users < 1 or self.n_users > self.n_antennas:
@@ -97,23 +98,16 @@ class SimConfig:
             raise ValueError(f"unknown receiver {self.receiver!r}; choose from {known}")
         if self.target_errors < 1 or self.max_trials < 1 or self.batch_size < 1:
             raise ValueError("target_errors, max_trials, batch_size must be >= 1")
-        if self.csi not in ("perfect", "estimated"):
-            raise ValueError("csi must be 'perfect' or 'estimated'")
-        if self.frame_length is None and self._estimated_csi():
-            self.frame_length = 2 * self.n_users
         if self.frame_length is not None and self.frame_length <= self.n_users:
             raise ValueError("frame_length must exceed the K pilot uses")
         if self.receiver == "map-oracle" and self.n_users > 8:
             raise ValueError("map-oracle is limited to K <= 8")
         if self.receiver in CODED_RECEIVERS and self.code_spec is None:
             raise ValueError("coded receivers need code_spec")
-        if self.receiver == "joint" and self.mpd.aitken and self.joint.detector_passes < 3:
+        if (self.receiver.startswith("joint") and self.mpd.aitken
+                and self.joint.detector_passes < 3):
             raise ValueError("Aitken extrapolation in the joint receiver needs "
                              "detector_passes >= 3: its window spans three steps of one round")
-
-    def _estimated_csi(self) -> bool:
-        return self.receiver in ("chemp-estimated", "mmse-estimated") or (
-            self.receiver in CODED_RECEIVERS and self.csi == "estimated")
 
 
 def config_hash(cfg: SimConfig) -> str:
@@ -200,19 +194,19 @@ def _uncoded_batch(cfg: SimConfig, point_idx: int, batch_idx: int, n_trials: int
     b = n_trials
     hc = draw_channels(rng, n, k, b)
 
-    if cfg.receiver in ("mpd", "mmse", "map-oracle"):
-        x, yc = transmit(rng, hc, nv)
-        x = x[:, 0]
-        obs = matched_filter(hc, yc[:, 0], nv)
-    else:
+    if cfg.receiver.endswith("-estimated"):
         # pilot-estimated receivers: frames of K pilot uses + data uses; the
         # pilot block gets a use axis so its statistics broadcast over the data uses
         pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k))
-        x, yc = transmit(rng, hc, nv, uses=cfg.frame_length - k)
+        x, yc = transmit(rng, hc, nv, uses=(cfg.frame_length or 2 * k) - k)
         if cfg.receiver == "chemp-estimated":
             obs = gram_observation_from_pilots(pilots, yc)
         else:
             obs = matched_filter(mmse_channel_estimate(pilots), yc, nv)
+    else:
+        x, yc = transmit(rng, hc, nv)
+        x = x[:, 0]
+        obs = matched_filter(hc, yc[:, 0], nv)
     if cfg.receiver in ("mpd", "chemp-estimated"):
         xh = hard_decision(mpd_detect(obs, cfg.mpd))
     elif cfg.receiver == "map-oracle":
@@ -234,12 +228,12 @@ def _coded_batch(code: LdpcCode, cfg: SimConfig, point_idx: int, batch_idx: int,
     x = bits_to_symbols(encode(code, info), k)
     hc = draw_channels(rng, n, k, b)
     _, yc = transmit(rng, hc, nv, x)
-    if cfg.csi == "perfect":
-        obs = matched_filter(hc[:, None], yc, nv)
-    else:
+    if cfg.receiver.endswith("-estimated"):
         pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k))
         obs = gram_observation_from_pilots(pilots, yc)
-    if cfg.receiver == "joint":
+    else:
+        obs = matched_filter(hc[:, None], yc, nv)
+    if cfg.receiver.startswith("joint"):
         res = joint_detect_decode(obs, code, cfg.joint, cfg.mpd)
     else:
         res = detect_then_decode(obs, code, cfg.mpd, cfg.decoder_iterations)
@@ -388,7 +382,7 @@ class OperationCount:
 
 
 def count_operations(receiver: str, n_antennas: int, n_users: int,
-                     iterations: int = 20) -> OperationCount:
+                     iterations: int = MpdConfig.iterations) -> OperationCount:
     """Real-operation counts for the two compared receivers.
 
     The model charges complex multiply-accumulates at 8 real ops (4 mult +

@@ -48,10 +48,10 @@ class JointConfig:
     `decoder_passes` flooding iterations on the new detector LLRs. A
     codeword's check-to-variable messages persist across rounds until it
     satisfies all its checks and leaves the decoder; the detector beliefs of
-    every frame carry over from round to round. Damping, Aitken extrapolation
-    (within a round) and history tracking come from `MpdConfig`; its
-    `iterations` is not used. The extrinsics fed back to the detector are
-    clipped to `mpd.LLR_CLIP`.
+    every frame carry over from round to round. Damping and Aitken
+    extrapolation (within a round) come from `MpdConfig`; its `iterations`
+    is not used. The extrinsics fed back to the detector are clipped to
+    `mpd.LLR_CLIP`.
     """
 
     outer_iterations: int = 20
@@ -166,10 +166,8 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
 
 
 def detect_then_decode(obs: GramObservation, code: LdpcCode,
-                       mpd_cfg: MpdConfig | None = None,
-                       decoder_iterations: int = 40) -> JointResult:
+                       mpd_cfg: MpdConfig, decoder_iterations: int) -> JointResult:
     """Baseline: run the detector to completion, then decode once per user."""
-    mpd_cfg = mpd_cfg or MpdConfig()
     n_users, lead = _framing(obs, code)
 
     state = mpd_detect(obs, mpd_cfg)

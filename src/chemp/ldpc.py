@@ -490,7 +490,7 @@ class _ActiveSet:
             ext = kern.extrinsic(c2v)
         post = llr + ext
         bits = (post < 0).astype(np.uint8)
-        ok = ~np.any(self.code.syndrome(bits), axis=-1)
+        ok = self.code.is_codeword(bits)
         self.ext[live], left = ext, live[ok]
         if left.size:
             self.post[left], self.bits[left], self.ok[left] = post[ok], bits[ok], True
@@ -506,7 +506,7 @@ class _ActiveSet:
         self.bits[live] = self.post[live] < 0
 
 
-def bp_decode_batch(code: LdpcCode, llrs: np.ndarray, max_iters: int = 50):
+def bp_decode_batch(code: LdpcCode, llrs: np.ndarray, max_iters: int):
     """Flooding sum-product over a (B, n) batch of channel LLR vectors, in `DTYPE`.
 
     Positive LLR means bit 0. A row leaves the decoder, its decisions frozen,
@@ -529,10 +529,9 @@ def bp_decode_batch(code: LdpcCode, llrs: np.ndarray, max_iters: int = 50):
 # alist export
 
 
-def write_alist(code_or_h, path: str):
+def write_alist(code: LdpcCode, path: str):
     """Write the parity-check matrix in the standard alist text format."""
-    h = code_or_h.parity_check if isinstance(code_or_h, LdpcCode) else sparse.csr_matrix(code_or_h)
-    h = sparse.csc_matrix(h, dtype=np.uint8)
+    h = sparse.csc_matrix(code.parity_check, dtype=np.uint8)
     m, n = h.shape
     col_deg = np.diff(h.indptr)
     hr = sparse.csr_matrix(h)

@@ -12,10 +12,11 @@ Gaussian with moments accumulated from the other symbols' beliefs:
 
 Beliefs p_i = logistic(L_i) iterate with damping; an optional guarded Aitken
 extrapolation accelerates the damped sequence once it contracts geometrically.
-`MpdEngine.run` is the one damped loop: the plain detector, the joint
-detector/decoder and the EXIT measurement all drive it, the last two with
-fixed prior LLRs added to L before the logistic. Every LLR is clipped to
-+-LLR_CLIP.
+`MpdEngine.iterate` is the one damped loop, a generator of the iterates;
+`MpdEngine.run` drains it. The plain detector, the joint detector/decoder and
+the EXIT measurement all run it, the last two with fixed prior LLRs added to
+L before the logistic, and the fixed-point residuals of `analysis` read its
+iterates as they come. Every LLR is clipped to +-LLR_CLIP.
 
 The observation carries G, so J's block structure belongs to the type: the
 lower K rows of J repeat the upper K rows with the halves of the belief
@@ -53,7 +54,6 @@ __all__ = [
     "BeliefState",
     "matched_filter",
     "mpd_detect",
-    "aitken_step",
     "hard_decision",
     "MpdEngine",
 ]
@@ -99,14 +99,13 @@ DTYPE = np.float32
 @dataclass
 class MpdConfig:
     """Schedule of the damped loop: `iterations` steps of belief damping
-    `damping`, guarded Aitken extrapolation on every third step when `aitken`
-    is set, and a copy of the beliefs after every step when `track_history`
-    is set. The joint receiver runs its own step count per outer round."""
+    `damping`, and guarded Aitken extrapolation on every third step when
+    `aitken` is set. The joint receiver runs its own step count per outer
+    round."""
 
     iterations: int = 20
     damping: float = 0.33
     aitken: bool = False
-    track_history: bool = False
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -117,12 +116,10 @@ class MpdConfig:
 
 @dataclass
 class BeliefState:
-    """Final beliefs Pr(x_i = +1), the last step's LLRs (prior excluded), and
-    the beliefs before the first and after every step when tracked."""
+    """Final beliefs Pr(x_i = +1) and the last step's LLRs (prior excluded)."""
 
     p: np.ndarray
     llr: np.ndarray
-    history: list | None = None
 
 
 def matched_filter(hc: np.ndarray, yc: np.ndarray, noise_var: float) -> GramObservation:
@@ -144,28 +141,11 @@ def _logistic(L: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-L))
 
 
-def aitken_step(p_t: np.ndarray, p_t1: np.ndarray, p_t2: np.ndarray) -> np.ndarray:
-    """Componentwise Aitken extrapolation of three consecutive iterates.
-
-    q_i = p_i - (p'_i - p_i)^2 / (p''_i - 2 p'_i + p_i), passing the newest
-    iterate through where the denominator is degenerate, clamped to [0, 1].
-    Floating-point iterates keep their dtype; integer ones become float64.
-    """
-    dtype = np.result_type(p_t, p_t1, p_t2, 0.0)
-    p_t = np.asarray(p_t, dtype=dtype)
-    p_t1 = np.asarray(p_t1, dtype=dtype)
-    p_t2 = np.asarray(p_t2, dtype=dtype)
-    den = p_t2 - 2.0 * p_t1 + p_t
-    bad = np.abs(den) < _AITKEN_EPS
-    q = p_t - (p_t1 - p_t) ** 2 / np.where(bad, 1.0, den)
-    return np.clip(np.where(bad, p_t2, q), 0.0, 1.0)
-
-
 class MpdEngine:
     """Precomputed update kernel for one observation (or batch of them).
 
-    `run` is the damped loop over `step`; the coded receiver and the EXIT
-    measurement call it with external symbol priors.
+    `iterate` is the damped loop over `step` and `run` drains it; the coded
+    receiver and the EXIT measurement run it with external symbol priors.
 
     With one Gram per use (G shaped like z's leading axes), the engine keeps
     only the upper rows of the zero-diagonal J, V = [Re G, -Im G] (..., K, 2K),
@@ -242,26 +222,34 @@ class MpdEngine:
         p_new = (1.0 - damping) * _logistic(total) + damping * p
         return L, p_new
 
-    def run(self, cfg: MpdConfig, p: np.ndarray | None = None,
-            prior: np.ndarray | None = None, steps: int | None = None) -> BeliefState:
+    def iterate(self, cfg: MpdConfig, p: np.ndarray | None = None,
+                prior: np.ndarray | None = None, steps: int | None = None):
         """The damped loop: `steps` (default `cfg.iterations`) steps from
-        beliefs p (default uniform) with the prior LLRs held fixed. Beliefs,
-        prior and the returned state are in the engine's `DTYPE`."""
+        beliefs p (default uniform) with the prior LLRs held fixed, yielding
+        (L, p) after each step, after any Aitken replacement. Beliefs and
+        prior are cast to the engine's `DTYPE`; `step` and the extrapolation
+        return fresh arrays, so no yielded array is written afterwards."""
         p = self.uniform_beliefs() if p is None else np.asarray(p, dtype=DTYPE)
         prior = None if prior is None else np.asarray(prior, dtype=DTYPE)
-        history = [p.copy()] if cfg.track_history else None
         window: list[np.ndarray] = []
-        L = None  # no zero array per call: joint runs one call per outer round
         for _ in range(cfg.iterations if steps is None else steps):
             L, p = self.step(p, cfg.damping, prior)
             if cfg.aitken:
-                window.append(p.copy())
+                window.append(p)
                 if len(window) == 3:
-                    p = _guarded_aitken(window)
+                    p = _guarded_aitken(*window)
                     window.clear()
-            if history is not None:
-                history.append(p.copy())
-        return BeliefState(p=p, llr=np.zeros_like(p) if L is None else L, history=history)
+            yield L, p
+
+    def run(self, cfg: MpdConfig, p: np.ndarray | None = None,
+            prior: np.ndarray | None = None, steps: int | None = None) -> BeliefState:
+        """The last iterate of `iterate`: zero LLRs and the starting beliefs
+        when no step runs."""
+        p = self.uniform_beliefs() if p is None else np.asarray(p, dtype=DTYPE)
+        L = None  # no zero array per call: joint runs one call per outer round
+        for L, p in self.iterate(cfg, p, prior, steps):
+            pass
+        return BeliefState(p=p, llr=np.zeros_like(p) if L is None else L)
 
 
 def _stacked_product(upper: np.ndarray, a: np.ndarray, sign: float) -> np.ndarray:
@@ -286,15 +274,19 @@ def mpd_detect(obs: GramObservation, cfg: MpdConfig) -> BeliefState:
     return MpdEngine(obs).run(cfg)
 
 
-def _guarded_aitken(window: list[np.ndarray]) -> np.ndarray:
-    """Accept the extrapolation only where the increments contract geometrically."""
-    p0, p1, p2 = window
+def _guarded_aitken(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Componentwise Aitken extrapolation of three consecutive iterates,
+    q = p0 - (p1 - p0)^2 / (p2 - 2 p1 + p0) clamped to [0, 1] (p2 where the
+    denominator is degenerate), accepted only where the increments contract
+    geometrically; p2 elsewhere."""
     d0 = p1 - p0
     d1 = p2 - p1
     safe = np.abs(d0) > _AITKEN_EPS
     ratio = d1 / np.where(safe, d0, 1.0)
     contracting = safe & (ratio > 0.0) & (ratio < 1.0)
-    q = aitken_step(p0, p1, p2)
+    den = p2 - 2.0 * p1 + p0
+    bad = np.abs(den) < _AITKEN_EPS
+    q = np.clip(np.where(bad, p2, p0 - d0 ** 2 / np.where(bad, 1.0, den)), 0.0, 1.0)
     return np.where(contracting, q, p2)
 
 

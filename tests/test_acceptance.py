@@ -15,6 +15,7 @@ from scipy.special import erfcinv
 from chemp import (
     JointConfig,
     MpdConfig,
+    MpdEngine,
     SimConfig,
     TABLE_PROFILES,
     bits_to_symbols,
@@ -141,13 +142,15 @@ def test_ac05_acceleration_iteration_count():
     hc = draw_channels(rng, n, k, 200)
     obs = matched_filter(hc, transmit(rng, hc, nv)[1][:, 0], nv)
 
+    engine = MpdEngine(obs)
+
     def median_iters_to_tol(cfg):
-        hit = fixed_point_residuals(mpd_detect(obs, cfg)) < 1e-3  # (iterations, trials)
+        hit = fixed_point_residuals(engine, cfg) < 1e-3  # (iterations, trials)
         return float(np.median(np.where(hit.any(axis=0), hit.argmax(axis=0) + 1,
                                         cfg.iterations)))
 
-    mp = median_iters_to_tol(MpdConfig(track_history=True))
-    mf = median_iters_to_tol(MpdConfig(track_history=True, aitken=True))
+    mp = median_iters_to_tol(MpdConfig())
+    mf = median_iters_to_tol(MpdConfig(aitken=True))
     ok = mf < mp
     line = verdict(5, ok, f"median iterations to residual<1e-3: {mf:g} with "
                           f"acceleration vs {mp:g} without (200 trials)")

@@ -5,13 +5,13 @@ import pytest
 
 from chemp import (
     MpdConfig,
+    MpdEngine,
     convergence_condition,
     draw_channels,
     fixed_point_residuals,
     llr_mse_bound,
     llr_mse_empirical,
     matched_filter,
-    mpd_detect,
     noise_variance,
     real_stack,
     transmit,
@@ -20,22 +20,22 @@ from chemp import (
 
 def test_convergence_condition_identity():
     rep = convergence_condition(np.eye(8))
-    assert rep.diagonal_dominance_fraction == 1.0
-    assert rep.anti_dominance_fraction == 0.0
+    assert np.all(rep.diagonal_dominance)
+    assert not np.any(rep.anti_dominance)
 
 
 def test_convergence_condition_constructed():
     J = np.array([[1.0, 0.6], [0.6, 1.0]])
     rep = convergence_condition(J)
     # rows satisfy both d > R and d - R < R for d=1, R=0.6
-    assert rep.diagonal_dominance_fraction == 1.0
-    assert rep.anti_dominance_fraction == 1.0
+    assert np.all(rep.diagonal_dominance)
+    assert np.all(rep.anti_dominance)
 
 
 def test_convergence_condition_hardening_improves_with_antennas(rng):
     def frac(n, k):
         H = real_stack(draw_channels(rng, n, k))
-        return convergence_condition(H.T @ H / n).diagonal_dominance_fraction
+        return np.mean(convergence_condition(H.T @ H / n).diagonal_dominance)
 
     assert frac(256, 32) >= frac(32, 32)
 
@@ -43,26 +43,31 @@ def test_convergence_condition_hardening_improves_with_antennas(rng):
 def test_fixed_point_residuals_decrease(rng):
     hc = draw_channels(rng, 64, 16, 3)
     nv = noise_variance(12.0, 16)
-    state = mpd_detect(matched_filter(hc, transmit(rng, hc, nv)[1][:, 0], nv),
-                       MpdConfig(iterations=20, track_history=True))
-    res = fixed_point_residuals(state)
+    engine = MpdEngine(matched_filter(hc, transmit(rng, hc, nv)[1][:, 0], nv))
+    res = fixed_point_residuals(engine, MpdConfig(iterations=20))
     assert res.shape == (20, 3)
     assert np.all(res[-1] < res[0])
     assert np.all(res[-1] < 1e-3)
 
 
-def test_fixed_point_residuals_requires_history(rng):
+@pytest.mark.parametrize("aitken", [False, True])
+def test_fixed_point_residuals_match_the_iterates(rng, aitken):
+    # the sup-norm differences of the whole belief sequence, bit for bit
+    hc = draw_channels(rng, 16, 4, 5)
+    nv = noise_variance(6.0, 4)
+    engine = MpdEngine(matched_filter(hc, transmit(rng, hc, nv)[1][:, 0], nv))
+    cfg = MpdConfig(iterations=9, aitken=aitken)
+    beliefs = np.stack([engine.uniform_beliefs()] + [p for _, p in engine.iterate(cfg)])
+    want = np.max(np.abs(beliefs[1:] - beliefs[:-1]), axis=-1)
+    assert np.array_equal(fixed_point_residuals(engine, cfg), want)
+
+
+def test_fixed_point_residuals_need_a_step(rng):
     hc = draw_channels(rng, 16, 4)
     y = rng.standard_normal(32)
-    state = mpd_detect(matched_filter(hc, y[:16] + 1j * y[16:], 0.5), MpdConfig(iterations=5))
+    engine = MpdEngine(matched_filter(hc, y[:16] + 1j * y[16:], 0.5))
     with pytest.raises(ValueError):
-        fixed_point_residuals(state)
-
-
-def test_fixed_point_residuals_accepts_raw_history():
-    hist = [np.array([0.5, 0.5]), np.array([0.6, 0.4]), np.array([0.62, 0.38])]
-    res = fixed_point_residuals(hist)
-    np.testing.assert_allclose(res, [0.1, 0.02])
+        fixed_point_residuals(engine, MpdConfig(iterations=0))
 
 
 def test_llr_mse_bound_positive_and_increasing_in_pilot_noise():

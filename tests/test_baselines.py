@@ -148,8 +148,7 @@ def test_map_oracle_noiseless_exact(rng):
 
 
 def test_import_loads_no_scipy_special_or_integrate():
-    # mp_cdf imports scipy.integrate on first call and nothing imports
-    # scipy.special; no sweep loads either
+    # chemp imports neither: the Marchenko-Pastur CDF is in closed form
     code = ("import sys, chemp; "
             "print([m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(chemp.__file__))  # this chemp, not an installed one

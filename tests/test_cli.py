@@ -248,11 +248,20 @@ def test_unknown_config_key_fails(tmp_path):
 
 @pytest.mark.parametrize("removed", [{"symbol_energy": 2.0},
                                      {"mpd": {"convergence_tol": 1e-3}},
-                                     {"mpd": {"llr_clip": 50.0}}])
+                                     {"mpd": {"llr_clip": 50.0}},
+                                     {"mpd": {"track_history": True}}])
 def test_removed_config_key_fails(tmp_path, removed):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_antennas": 8, "n_users": 4, **removed}))
     assert run(tmp_path, "uncoded", "--config", str(cfg_path)) == 1
+
+
+def test_coded_csi_key_fails(tmp_path, capsys):
+    # channel knowledge is named by the receiver ("joint-estimated"), not set apart
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_antennas": 8, "n_users": 4, "csi": "estimated"}))
+    assert run(tmp_path, "coded", "--config", str(cfg_path)) == 1
+    assert "'csi'" in capsys.readouterr().err
 
 
 def test_internal_error_maps_to_two(tmp_path, monkeypatch):
@@ -287,7 +296,7 @@ SWEEP_FILES = {
                 "mpd": {"iterations": 7, "damping": 0.5, "aitken": False}},
     "coded": {"n_antennas": 8, "n_users": 4, "snr_db": [5.0], "receiver": "separate",
               "code_spec": "regular-3-6", "block_length": 64, "decoder_iterations": 10,
-              "csi": "perfect", "target_errors": 5, "max_trials": 8, "batch_size": 4,
+              "target_errors": 5, "max_trials": 8, "batch_size": 4,
               "seed": 13, "mpd": {"iterations": 7, "damping": 0.5, "aitken": False},
               "joint": {"outer_iterations": 3, "detector_passes": 3, "decoder_passes": 1}},
 }
@@ -310,14 +319,13 @@ SWEEP_FLAGS = {
         ("--frame-length", "--frame", "frame_length", "24", 24),
     ],
     "coded": SHARED_FLAGS + [
-        ("--receiver", "--rec", "receiver", "joint", "joint"),
+        ("--receiver", "--rec", "receiver", "joint-estimated", "joint-estimated"),
         ("--code", "--cod", "code_spec", "regular-4-8", "regular-4-8"),
         ("--block-length", "--bl", "block_length", "96", 96),
         ("--outer", "--oute", "joint.outer_iterations", "5", 5),
         ("--detector-passes", "--det", "joint.detector_passes", "4", 4),
         ("--decoder-passes", "--decoder-p", "joint.decoder_passes", "2", 2),
         ("--decoder-iters", "--decoder-i", "decoder_iterations", "20", 20),
-        ("--csi", "--cs", "csi", "estimated", "estimated"),
     ],
 }
 SWEEP_CASES = [pytest.param(command, None, None, None, None, id=f"{command} no flag")

@@ -111,6 +111,24 @@ def test_mp_cdf_monotone_and_normalized(alpha):
     assert c[-1] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.9, 0.5, 0.25, 0.125, 0.01])
+def test_mp_cdf_matches_quadrature_of_density(alpha):
+    # the reference integrates mp_density numerically; the substitution
+    # x = a + (b - a) sin^2 t smooths the inverse-square-root edge at alpha = 1
+    from scipy.integrate import quad
+
+    a, b = mp_support(alpha)
+    x = np.linspace(a, b, 25)[1:-1]
+
+    def reference(xi):
+        def g(t):
+            return float(mp_density(a + (b - a) * np.sin(t) ** 2, alpha)) * (b - a) * np.sin(2 * t)
+
+        return quad(g, 0.0, np.arcsin(np.sqrt((xi - a) / (b - a))), limit=200)[0]
+
+    np.testing.assert_allclose(mp_cdf(x, alpha), [reference(xi) for xi in x], rtol=0, atol=1e-10)
+
+
 def test_mp_distance_shrinks_with_size(rng):
     small = mp_distance(draw_channels(rng, 32, 32))
     large = mp_distance(draw_channels(rng, 256, 256))

@@ -25,7 +25,7 @@ from chemp import (
     run_coded_sweep,
     run_uncoded_sweep,
 )
-from chemp.harness import _ci_halfwidth, _coded_batch
+from chemp.harness import UNCODED_RECEIVERS, _ci_halfwidth, _coded_batch
 from chemp.ldpc import TABLE_PROFILES
 
 
@@ -45,8 +45,6 @@ def test_config_validation():
         tiny_cfg(n_antennas=4, n_users=8)         # overloaded
     with pytest.raises(ValueError):
         tiny_cfg(receiver="zf")                    # unknown receiver
-    with pytest.raises(ValueError):
-        tiny_cfg(csi="genie")                      # unknown csi mode
     with pytest.raises(ValueError):
         tiny_cfg(receiver="joint")                 # coded without code_spec
     with pytest.raises(ValueError):
@@ -242,7 +240,7 @@ def test_coded_sweep_worker_invariance_and_receivers():
 
 
 def test_coded_sweep_estimated_csi_runs():
-    curve = run_coded_sweep(coded_cfg(csi="estimated", max_trials=10))
+    curve = run_coded_sweep(coded_cfg(receiver="joint-estimated", max_trials=10))
     assert curve.points[0].frames == 10
 
 
@@ -289,21 +287,21 @@ def test_coded_sweep_point_uses_codeword_halfwidth():
 # distribution; the old and new counts, with their 95% half-widths, are
 # listed in CHANGES.md.
 GUARD = {
-    ("mpd", None): [(3200, 62, None, 200), (4800, 6, None, 300)],
-    ("mmse", None): [(1920, 71, None, 120), (4800, 35, None, 300)],
-    ("chemp-estimated", None): [(5120, 610, None, 40), (5120, 109, None, 40)],
-    ("mmse-estimated", None): [(5120, 576, None, 40), (5120, 171, None, 40)],
-    ("map-oracle", None): [(2400, 63, None, 300), (2400, 6, None, 300)],
-    ("joint", "perfect"): [(4608, 12, 5, 24), (4608, 0, 0, 24)],
-    ("joint", "estimated"): [(1152, 173, 6, 6), (2304, 51, 9, 12)],
-    ("separate", "perfect"): [(4608, 29, 8, 24), (4608, 0, 0, 24)],
-    ("separate", "estimated"): [(1152, 217, 6, 6), (2304, 100, 8, 12)],
+    "mpd": [(3200, 62, None, 200), (4800, 6, None, 300)],
+    "mmse": [(1920, 71, None, 120), (4800, 35, None, 300)],
+    "chemp-estimated": [(5120, 610, None, 40), (5120, 109, None, 40)],
+    "mmse-estimated": [(5120, 576, None, 40), (5120, 171, None, 40)],
+    "map-oracle": [(2400, 63, None, 300), (2400, 6, None, 300)],
+    "joint": [(4608, 12, 5, 24), (4608, 0, 0, 24)],
+    "joint-estimated": [(1152, 173, 6, 6), (2304, 51, 9, 12)],
+    "separate": [(4608, 29, 8, 24), (4608, 0, 0, 24)],
+    "separate-estimated": [(1152, 217, 6, 6), (2304, 100, 8, 12)],
 }
 
 
-@pytest.mark.parametrize("receiver,csi", list(GUARD))
-def test_sweeps_reproduce_recorded_counts(receiver, csi):
-    if csi is None:
+@pytest.mark.parametrize("receiver", list(GUARD))
+def test_sweeps_reproduce_recorded_counts(receiver):
+    if receiver in UNCODED_RECEIVERS:
         small = receiver == "map-oracle"
         cfg = SimConfig(n_antennas=8 if small else 16, n_users=4 if small else 8,
                         snr_db=(4.0, 8.0), receiver=receiver, seed=2024,
@@ -311,12 +309,12 @@ def test_sweeps_reproduce_recorded_counts(receiver, csi):
         curve = run_uncoded_sweep(cfg)
     else:
         cfg = SimConfig(n_antennas=16, n_users=8, snr_db=(2.0, 5.0), receiver=receiver,
-                        code_spec="regular-3-6", block_length=48, seed=2024, csi=csi,
+                        code_spec="regular-3-6", block_length=48, seed=2024,
                         target_errors=40, max_trials=24, batch_size=6,
                         joint=JointConfig(outer_iterations=6))
         curve = run_coded_sweep(cfg)
     got = [(p.bits, p.errors, p.frame_errors, p.trials) for p in curve.points]
-    assert got == GUARD[(receiver, csi)]
+    assert got == GUARD[receiver]
 
 
 def test_build_sweep_code_deterministic():

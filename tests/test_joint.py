@@ -125,7 +125,7 @@ def test_joint_beats_separate_at_moderate_snr(tiny_code, rng):
     for _ in range(12):
         obs, info, words = coded_observation(tiny_code, 8, 8, 7.0, rng)
         rj = joint_detect_decode(obs, tiny_code, JointConfig())
-        rs = detect_then_decode(obs, tiny_code)
+        rs = detect_then_decode(obs, tiny_code, MpdConfig(), 40)
         joint_err += int(np.sum(rj.info_bits != info))
         sep_err += int(np.sum(rs.info_bits != info))
     assert joint_err <= sep_err
@@ -162,7 +162,7 @@ def test_joint_batched_frames(tiny_code, rng):
 
 def test_separate_baseline_decodes_clean_frames(tiny_code, rng):
     obs, info, words = coded_observation(tiny_code, 16, 4, 300.0, rng)
-    res = detect_then_decode(obs, tiny_code)
+    res = detect_then_decode(obs, tiny_code, MpdConfig(), 40)
     assert bool(np.all(res.success))
     np.testing.assert_array_equal(res.info_bits, info)
 

@@ -9,7 +9,6 @@ from chemp import (
     GramObservation,
     MpdConfig,
     MpdEngine,
-    aitken_step,
     draw_channels,
     hard_decision,
     matched_filter,
@@ -18,6 +17,7 @@ from chemp import (
     noise_variance,
     real_stack,
 )
+from chemp.mpd import _guarded_aitken
 
 
 # The engine runs in float32 (unit roundoff 6e-8) over sums of 2K = 16 terms;
@@ -283,19 +283,19 @@ def test_engine_runs_in_float32(rng, shared):
     for got, want in zip(engine.step(p64, 0.33, prior),
                          engine.step(p32, 0.33, prior.astype(np.float32))):
         assert got.dtype == np.float32 and np.array_equal(got, want)
-    cfg = MpdConfig(iterations=7, aitken=True, track_history=True)
+    cfg = MpdConfig(iterations=7, aitken=True)
     for p0 in (None, np.full(obs.z.shape, 0.3)):
         state = engine.run(cfg, p=p0, prior=prior)
         assert state.p.dtype == state.llr.dtype == np.float32
-        assert all(snap.dtype == np.float32 for snap in state.history)
+        assert all(L.dtype == p.dtype == np.float32
+                   for L, p in engine.iterate(cfg, p=p0, prior=prior))
     assert mpd_detect(obs, MpdConfig(iterations=0)).llr.dtype == np.float32
 
 
 def test_aitken_step_keeps_dtype():
     seq = [np.array([0.7 + 0.2 * 0.5 ** t], dtype=np.float32) for t in range(3)]
-    assert aitken_step(*seq).dtype == np.float32
-    assert aitken_step(*(s.astype(float) for s in seq)).dtype == float
-    assert aitken_step(np.array([0]), np.array([1]), np.array([1])).dtype == float
+    assert _guarded_aitken(*seq).dtype == np.float32
+    assert _guarded_aitken(*(s.astype(float) for s in seq)).dtype == float
 
 
 def test_zero_iterations_returns_uniform(rng):
@@ -314,13 +314,25 @@ def test_damping_blends_iterates(rng):
     np.testing.assert_allclose(p_damped, 0.6 * p_free + 0.4 * p0, atol=1e-12)
 
 
-def test_history_tracking(rng):
+@pytest.mark.parametrize("aitken", [False, True])
+def test_iterate_yields_every_step_and_ends_where_run_does(rng, aitken):
     obs, *_ = observation(16, 8, 8.0, rng)
-    state = mpd_detect(obs, MpdConfig(iterations=5, track_history=True))
-    assert state.history is not None
-    assert len(state.history) == 6  # initial beliefs plus one snapshot per step
-    np.testing.assert_allclose(state.history[0], 0.5)
-    np.testing.assert_allclose(state.history[-1], state.p)
+    engine = MpdEngine(obs)
+    cfg = MpdConfig(iterations=7, aitken=aitken)
+    prior = rng.standard_normal(obs.z.shape)
+    # copies taken as each pair is yielded: no yielded array is written later
+    seen = [(L.copy(), p.copy()) for L, p in engine.iterate(cfg, prior=prior)]
+    pairs = list(engine.iterate(cfg, prior=prior))
+    assert len(pairs) == cfg.iterations
+    for (L, p), (L0, p0) in zip(pairs, seen):
+        assert L.dtype == p.dtype == np.float32
+        assert np.array_equal(L, L0) and np.array_equal(p, p0)
+    state = engine.run(cfg, prior=prior)
+    assert np.array_equal(pairs[-1][0], state.llr) and np.array_equal(pairs[-1][1], state.p)
+    if not aitken:
+        for (_, before), after in zip(pairs, pairs[1:]):
+            for got, want in zip(after, engine.step(before, cfg.damping, prior)):
+                assert np.array_equal(got, want)
 
 
 def test_multi_start_fixed_point(rng):
@@ -338,7 +350,7 @@ def test_aitken_step_exact_on_geometric():
     # for p_t = p* + c r^t the extrapolation returns p* exactly
     p_star, c, r = 0.7, 0.2, 0.5
     seq = [p_star + c * r ** t for t in range(3)]
-    out = aitken_step(np.array([seq[0]]), np.array([seq[1]]), np.array([seq[2]]))
+    out = _guarded_aitken(np.array([seq[0]]), np.array([seq[1]]), np.array([seq[2]]))
     assert out[0] == pytest.approx(p_star, abs=1e-12)
 
 
