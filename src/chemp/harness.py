@@ -1,12 +1,16 @@
 """Monte Carlo engine: SNR sweeps, trial orchestration, complexity counts,
 and result persistence.
 
-Determinism contract: every random draw is keyed by
-SeedSequence(master_seed, spawn_key=(snr_point_index, batch_index)) and
-batches are accumulated strictly in index order until the stopping rule
-fires, so results are bit-identical for any worker count. A sweep stops a
-point once the target bit-error count is collected or the trial budget is
-exhausted, whichever happens first.
+Determinism contract: every random draw of a batch is keyed by
+SeedSequence(master_seed, spawn_key=(snr_point_index, batch_index)) and made
+in frame order by the one batch routine, `_batch`: info bits (coded),
+channels, pilots (receivers named "-estimated"), then symbols (uncoded) and
+data noise. One loop, `_accumulate`, folds the batches strictly in index
+order and holds the stopping rule, so results are bit-identical for any
+worker count: one worker runs each batch in the calling thread, more run
+them in a process pool. A sweep stops a point once the target bit-error
+count is collected or the trial budget is exhausted, whichever happens
+first.
 
 Heap policy: a batch allocates tens of MB of arrays (channel draw, Gram,
 detector state) and frees them when it returns. Under glibc's default,
@@ -23,6 +27,7 @@ freed heap after a sweep. On a C library other than glibc nothing is set.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -80,7 +85,7 @@ class SimConfig:
     target_errors: int = 100
     max_trials: int = 100_000
     batch_size: int = 100
-    frame_length: int | None = None  # uncoded estimated-CSI: K pilot + rest data (2K)
+    frame_length: int | None = None  # uncoded -estimated receivers: K pilot + rest data (2K)
     # coded mode only
     code_spec: str | None = None
     block_length: int = 1000
@@ -93,13 +98,19 @@ class SimConfig:
         self.snr_db = tuple(float(s) for s in np.atleast_1d(self.snr_db))
         if not self.snr_db:
             raise ValueError("snr grid is empty")
+        if not np.all(np.isfinite(self.snr_db)):
+            raise ValueError(f"snr grid must be finite, got {self.snr_db}")
         known = UNCODED_RECEIVERS + CODED_RECEIVERS
         if self.receiver not in known:
             raise ValueError(f"unknown receiver {self.receiver!r}; choose from {known}")
         if self.target_errors < 1 or self.max_trials < 1 or self.batch_size < 1:
             raise ValueError("target_errors, max_trials, batch_size must be >= 1")
-        if self.frame_length is not None and self.frame_length <= self.n_users:
-            raise ValueError("frame_length must exceed the K pilot uses")
+        if self.frame_length is not None:
+            if self.receiver not in ("chemp-estimated", "mmse-estimated"):
+                raise ValueError("frame_length is read only by the uncoded receivers "
+                                 f"chemp-estimated and mmse-estimated, not {self.receiver!r}")
+            if self.frame_length <= self.n_users:
+                raise ValueError("frame_length must exceed the K pilot uses")
         if self.receiver == "map-oracle" and self.n_users > 8:
             raise ValueError("map-oracle is limited to K <= 8")
         if self.receiver in CODED_RECEIVERS and self.code_spec is None:
@@ -170,15 +181,18 @@ def _ci_halfwidth(errors: int, bits: int, codewords: int | None = None,
     return 1.96 * np.sqrt(max(spread, 0.0) / codewords)
 
 
-def _make_point(snr_db, bits, errors, trials, frames=None, frame_errors=None,
-                codewords=None, sq_errors=0) -> BerPoint:
-    ber = errors / bits if bits else 0.0
+def _make_point(snr_db, n_users, bits, errors, trials, frame_errors=None,
+                sq_errors=0) -> BerPoint:
+    """A sweep point from its summed batch counts; a coded point counts frame
+    errors, over `trials` frames of `n_users` codewords each."""
+    frames = None if frame_errors is None else trials
+    codewords = None if frames is None else frames * n_users
     return BerPoint(
-        snr_db=float(snr_db), bits=int(bits), errors=int(errors), ber=float(ber),
+        snr_db=float(snr_db), bits=int(bits), errors=int(errors),
+        ber=float(errors / bits if bits else 0.0),
         ci_halfwidth=float(_ci_halfwidth(errors, bits, codewords, sq_errors)),
-        trials=int(trials),
-        reliable=bool(errors >= 10), frames=frames, frame_errors=frame_errors,
-        fer=(frame_errors / frames if frames else None),
+        trials=int(trials), reliable=bool(errors >= 10), frames=frames,
+        frame_errors=frame_errors, fer=(frame_errors / frames if frames else None),
     )
 
 
@@ -186,61 +200,53 @@ def _batch_rng(seed: int, point_idx: int, batch_idx: int) -> np.random.Generator
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(point_idx, batch_idx)))
 
 
-def _uncoded_batch(cfg: SimConfig, point_idx: int, batch_idx: int, n_trials: int):
-    """One deterministic batch; returns (bits, errors, trials)."""
+def _batch(code: LdpcCode | None, cfg: SimConfig, point_idx: int, batch_idx: int,
+           n_trials: int):
+    """One deterministic batch of `n_trials` frames, uncoded when `code` is None.
+
+    Draws in frame order: the info bits of a coded frame, the channels, the K
+    pilot uses of a receiver named "-estimated", then the data uses: the
+    symbols of an uncoded frame and the data noise. Returns (bits, errors,
+    trials), and for a coded batch also the frame errors and the sum over
+    codewords of the squared info-bit error count.
+    """
     rng = _batch_rng(cfg.seed, point_idx, batch_idx)
     n, k = cfg.n_antennas, cfg.n_users
     nv = noise_variance(cfg.snr_db[point_idx], k)
-    b = n_trials
-    hc = draw_channels(rng, n, k, b)
-
-    if cfg.receiver.endswith("-estimated"):
-        # pilot-estimated receivers: frames of K pilot uses + data uses; the
-        # pilot block gets a use axis so its statistics broadcast over the data uses
+    x = None
+    if code is not None:
+        info = rng.integers(0, 2, size=(n_trials, k, code.k)).astype(np.uint8)
+        x = bits_to_symbols(encode(code, info), k)
+    hc = draw_channels(rng, n, k, n_trials)
+    estimated = cfg.receiver.endswith("-estimated")
+    if estimated:
+        # the pilot block gets a use axis so its statistics broadcast over the data uses
         pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k))
-        x, yc = transmit(rng, hc, nv, uses=(cfg.frame_length or 2 * k) - k)
-        if cfg.receiver == "chemp-estimated":
-            obs = gram_observation_from_pilots(pilots, yc)
-        else:
-            obs = matched_filter(mmse_channel_estimate(pilots), yc, nv)
-    else:
-        x, yc = transmit(rng, hc, nv)
-        x = x[:, 0]
-        obs = matched_filter(hc, yc[:, 0], nv)
-    if cfg.receiver in ("mpd", "chemp-estimated"):
-        xh = hard_decision(mpd_detect(obs, cfg.mpd))
-    elif cfg.receiver == "map-oracle":
-        xh = map_oracle(obs)
-    else:
-        xh = mmse_detect(obs)[0]
-    return x.size, int(np.sum(xh != x)), b
-
-
-def _coded_batch(code: LdpcCode, cfg: SimConfig, point_idx: int, batch_idx: int,
-                 n_trials: int):
-    """One batch of coded frames; returns (bits, errors, frames, frame_errors,
-    sum over codewords of the squared info-bit error count)."""
-    rng = _batch_rng(cfg.seed, point_idx, batch_idx)
-    n, k = cfg.n_antennas, cfg.n_users
-    nv = noise_variance(cfg.snr_db[point_idx], k)
-    b = n_trials
-    info = rng.integers(0, 2, size=(b, k, code.k)).astype(np.uint8)
-    x = bits_to_symbols(encode(code, info), k)
-    hc = draw_channels(rng, n, k, b)
-    _, yc = transmit(rng, hc, nv, x)
-    if cfg.receiver.endswith("-estimated"):
-        pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k))
+    x, yc = transmit(rng, hc, nv, x, uses=(cfg.frame_length or 2 * k) - k if estimated else 1)
+    if cfg.receiver == "mmse-estimated":
+        obs = matched_filter(mmse_channel_estimate(pilots), yc, nv)
+    elif estimated:
         obs = gram_observation_from_pilots(pilots, yc)
-    else:
+    elif code is not None:
         obs = matched_filter(hc[:, None], yc, nv)
+    else:
+        obs = matched_filter(hc, yc[:, 0], nv)
+        x = x[:, 0]
+    if code is None:
+        if cfg.receiver in ("mpd", "chemp-estimated"):
+            xh = hard_decision(mpd_detect(obs, cfg.mpd))
+        elif cfg.receiver == "map-oracle":
+            xh = map_oracle(obs)
+        else:
+            xh = mmse_detect(obs)[0]
+        return x.size, int(np.sum(xh != x)), n_trials
     if cfg.receiver.startswith("joint"):
         res = joint_detect_decode(obs, code, cfg.joint, cfg.mpd)
     else:
         res = detect_then_decode(obs, code, cfg.mpd, cfg.decoder_iterations)
     per_codeword = np.sum(res.info_bits != info, axis=-1)
-    errors = int(per_codeword.sum())
-    frame_errors = int(np.any(per_codeword, axis=-1).sum())
-    return b * k * code.k, errors, b, frame_errors, int(np.sum(per_codeword ** 2))
+    return (info.size, int(per_codeword.sum()), n_trials,
+            int(np.any(per_codeword, axis=-1).sum()), int(np.sum(per_codeword ** 2)))
 
 
 # glibc mallopt(3) parameters and the heap policy's values (module docstring)
@@ -261,66 +267,68 @@ def _keep_freed_heap():
             raise OSError(f"mallopt({param}, {value}) failed")
 
 
+class _InThisThread(contextlib.nullcontext):
+    """Executor of the one-worker case: no pool and no thread. A submitted
+    batch runs in the calling thread when its result is read, so a batch
+    cancelled once the stopping rule fires never runs."""
+
+    def submit(self, fn, *args):
+        return _Deferred(fn, *args)
+
+
+class _Deferred(functools.partial):
+    def result(self):
+        return self()
+
+    def cancel(self):
+        return True
+
+
 def _accumulate(cfg: SimConfig, point_idx: int, batch_fn, workers: int):
     """Run batches in index order until the stopping rule fires.
 
-    `batch_fn(cfg, point_idx, batch_idx, n_trials)` must be picklable when
-    `workers > 1`. This process and every worker run under the heap policy.
+    Up to 2 * `workers` batches are in flight; `batch_fn(cfg, point_idx,
+    batch_idx, n_trials)` must be picklable when `workers > 1`. This process
+    and every worker run under the heap policy.
     """
     _keep_freed_heap()
-    plan = []
-    done = 0
-    while done < cfg.max_trials:
-        take = min(cfg.batch_size, cfg.max_trials - done)
-        plan.append((len(plan), take))
-        done += take
-
+    takes = [min(cfg.batch_size, cfg.max_trials - done)
+             for done in range(0, cfg.max_trials, cfg.batch_size)]
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_heap)
+            if workers > 1 else _InThisThread())
     totals = None
-
-    def fold(part):
-        nonlocal totals
-        totals = part if totals is None else tuple(a + b for a, b in zip(totals, part))
-        return totals[1] >= cfg.target_errors
-
-    if workers <= 1:
-        for bi, take in plan:
-            if fold(batch_fn(cfg, point_idx, bi, take)):
+    with pool:
+        pending = {}
+        for bi in range(len(takes)):
+            for bj in range(bi + len(pending), min(bi + 2 * workers, len(takes))):
+                pending[bj] = pool.submit(batch_fn, cfg, point_idx, bj, takes[bj])
+            part = pending.pop(bi).result()
+            totals = part if totals is None else tuple(a + b for a, b in zip(totals, part))
+            if totals[1] >= cfg.target_errors:
                 break
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_heap) as ex:
-            pending = {}
-            next_submit = 0
-            next_collect = 0
-            stop = False
-            while next_collect < len(plan) and not stop:
-                while next_submit < len(plan) and next_submit - next_collect < 2 * workers:
-                    bi, take = plan[next_submit]
-                    pending[bi] = ex.submit(batch_fn, cfg, point_idx, bi, take)
-                    next_submit += 1
-                stop = fold(pending.pop(next_collect).result())
-                next_collect += 1
-            for fut in pending.values():
-                fut.cancel()
+        for fut in pending.values():
+            fut.cancel()
     return totals
 
 
-def _provenance(cfg: SimConfig, extra: dict | None = None) -> dict:
-    doc = {"config": asdict(cfg), "config_hash": config_hash(cfg),
-           "seed": cfg.seed, "numpy": np.__version__}
-    if extra:
-        doc.update(extra)
-    return doc
+def _sweep(cfg: SimConfig, workers: int, code: LdpcCode | None = None) -> BerCurve:
+    """The sweep body of both sweeps: one point per SNR, uncoded when `code` is None."""
+    batch_fn = functools.partial(_batch, code)
+    points = [_make_point(snr, cfg.n_users, *_accumulate(cfg, pi, batch_fn, workers))
+              for pi, snr in enumerate(cfg.snr_db)]
+    provenance = {"config": asdict(cfg), "config_hash": config_hash(cfg),
+                  "seed": cfg.seed, "numpy": np.__version__}
+    if code is not None:
+        provenance["code"] = {"spec": cfg.code_spec, "n": code.n, "k": code.k,
+                              "edges": int(code.n_edges)}
+    return BerCurve(receiver=cfg.receiver, points=points, provenance=provenance)
 
 
 def run_uncoded_sweep(cfg: SimConfig, workers: int = 1) -> BerCurve:
     """BER vs SNR for one uncoded receiver."""
     if cfg.receiver not in UNCODED_RECEIVERS:
         raise ValueError(f"not an uncoded receiver: {cfg.receiver!r}")
-    points = []
-    for pi, snr in enumerate(cfg.snr_db):
-        bits, errors, trials = _accumulate(cfg, pi, _uncoded_batch, workers)
-        points.append(_make_point(snr, bits, errors, trials))
-    return BerCurve(receiver=cfg.receiver, points=points, provenance=_provenance(cfg))
+    return _sweep(cfg, workers)
 
 
 def resolve_profile(spec: str):
@@ -350,18 +358,7 @@ def run_coded_sweep(cfg: SimConfig, workers: int = 1, code: LdpcCode | None = No
     """Info-bit BER (and FER) vs SNR for the coded receivers."""
     if cfg.receiver not in CODED_RECEIVERS:
         raise ValueError(f"not a coded receiver: {cfg.receiver!r}")
-    if code is None:
-        code = build_sweep_code(cfg)
-
-    batch_fn = functools.partial(_coded_batch, code)
-    points = []
-    for pi, snr in enumerate(cfg.snr_db):
-        bits, errors, frames, fe, sq = _accumulate(cfg, pi, batch_fn, workers)
-        points.append(_make_point(snr, bits, errors, frames, frames, fe,
-                                  frames * cfg.n_users, sq))
-    extra = {"code": {"spec": cfg.code_spec, "n": code.n, "k": code.k,
-                      "edges": int(code.n_edges)}}
-    return BerCurve(receiver=cfg.receiver, points=points, provenance=_provenance(cfg, extra))
+    return _sweep(cfg, workers, build_sweep_code(cfg) if code is None else code)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,26 @@ def test_coded_csi_key_fails(tmp_path, capsys):
     assert "'csi'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,receiver", [("coded", "joint-estimated"),
+                                              ("uncoded", "mmse")])
+def test_frame_length_without_its_receiver_fails(tmp_path, capsys, command, receiver):
+    # only the uncoded -estimated receivers read frame_length
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_antennas": 8, "n_users": 4, "receiver": receiver,
+                                    "frame_length": 12}))
+    assert run(tmp_path, command, "--config", str(cfg_path)) == 1
+    assert "frame_length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["uncoded", "coded"])
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+def test_non_finite_snr_is_config_error(tmp_path, monkeypatch, capsys, command, snr):
+    seen = capture_sweeps(monkeypatch)
+    assert run(tmp_path, command, "--n", "8", "--k", "4", f"--snr={snr},6") == 1
+    assert "finite" in capsys.readouterr().err
+    assert not seen
+
+
 def test_internal_error_maps_to_two(tmp_path, monkeypatch):
     def boom(cfg, workers=1):
         raise RuntimeError("disk on fire")
@@ -290,7 +310,7 @@ def sim_config(doc: dict) -> SimConfig:
 # config files that set every field a sweep flag sets, each to a value that is
 # neither the subcommand's default nor the flag's value below
 SWEEP_FILES = {
-    "uncoded": {"n_antennas": 8, "n_users": 4, "snr_db": [5.0], "receiver": "mmse",
+    "uncoded": {"n_antennas": 8, "n_users": 4, "snr_db": [5.0], "receiver": "mmse-estimated",
                 "target_errors": 5, "max_trials": 30, "batch_size": 10,
                 "frame_length": 20, "seed": 13,
                 "mpd": {"iterations": 7, "damping": 0.5, "aitken": False}},

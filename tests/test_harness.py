@@ -1,11 +1,13 @@
 """Sweep driver: configuration, persistence, determinism, stopping, op counts."""
 
+import dataclasses
 import json
 import os
 import platform
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -25,8 +27,13 @@ from chemp import (
     run_coded_sweep,
     run_uncoded_sweep,
 )
-from chemp.harness import UNCODED_RECEIVERS, _ci_halfwidth, _coded_batch
-from chemp.ldpc import TABLE_PROFILES
+from chemp import harness
+from chemp.estimate import gram_observation_from_pilots, pilot_amplitude, receive_pilots
+from chemp.harness import UNCODED_RECEIVERS, _accumulate, _batch, _ci_halfwidth
+from chemp.joint import bits_to_symbols, joint_detect_decode
+from chemp.ldpc import TABLE_PROFILES, encode
+from chemp.model import draw_channels, noise_variance, transmit
+from chemp.mpd import hard_decision, mpd_detect
 
 
 def tiny_cfg(**over):
@@ -51,6 +58,14 @@ def test_config_validation():
         tiny_cfg(receiver="map-oracle", n_antennas=32, n_users=9)
     with pytest.raises(ValueError):
         tiny_cfg(receiver="chemp-estimated", frame_length=4)  # no data uses
+    for receiver in ("mpd", "mmse", "map-oracle"):  # frame_length read by no one
+        with pytest.raises(ValueError, match="frame_length"):
+            tiny_cfg(receiver=receiver, frame_length=12)
+    with pytest.raises(ValueError, match="frame_length"):
+        tiny_cfg(receiver="joint-estimated", code_spec="regular-3-6", frame_length=12)
+    for snr in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            tiny_cfg(snr_db=(snr, 6.0))
     with pytest.raises(ValueError):
         tiny_cfg(receiver="joint", code_spec="regular-3-6", mpd=MpdConfig(aitken=True),
                  joint=JointConfig(detector_passes=2))  # Aitken window never fills
@@ -128,6 +143,33 @@ def test_uncoded_sweep_worker_count_invariance():
     a = run_uncoded_sweep(tiny_cfg(), workers=1)
     b = run_uncoded_sweep(tiny_cfg(), workers=3)
     assert a.points == b.points
+
+
+def _stub_batch(cfg, point_idx, batch_idx, n_trials):
+    # batch b has b + 1 errors in n_trials bits
+    return n_trials, batch_idx + 1, n_trials
+
+
+def test_one_loop_stops_after_the_batch_that_reaches_the_target():
+    # errors 1, 3, 6, 10, ...: a target of 6 fires on batch 2 of 10
+    cfg = tiny_cfg(target_errors=6, max_trials=95, batch_size=10)
+    ran = []
+
+    def batch(*args):
+        ran.append((args[2], threading.current_thread() is threading.main_thread(),
+                    threading.active_count()))
+        return _stub_batch(*args)
+
+    threads = threading.active_count()
+    totals = _accumulate(cfg, 0, batch, workers=1)
+    assert totals == (30, 6, 30)
+    # one worker: in this thread, with no thread started, and no batch after batch 2
+    assert ran == [(0, True, threads), (1, True, threads), (2, True, threads)]
+    assert _accumulate(cfg, 0, _stub_batch, workers=2) == totals
+    # a target never reached spends the budget, the last batch cut to fit
+    budget = dataclasses.replace(cfg, target_errors=10 ** 6)
+    assert _accumulate(budget, 0, _stub_batch, workers=1) == (95, 55, 95)
+    assert _accumulate(budget, 0, _stub_batch, workers=2) == (95, 55, 95)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
@@ -266,26 +308,56 @@ def test_coded_halfwidth_clusters_errors_by_codeword():
 def test_coded_sweep_point_uses_codeword_halfwidth():
     cfg = coded_cfg(max_trials=10, batch_size=10)
     p = run_coded_sweep(cfg).points[0]
-    bits, errors, frames, frame_errors, sq = _coded_batch(build_sweep_code(cfg), cfg, 0, 0, 10)
+    bits, errors, frames, frame_errors, sq = _batch(build_sweep_code(cfg), cfg, 0, 0, 10)
     assert (p.bits, p.errors, p.frames, p.frame_errors) == (bits, errors, frames, frame_errors)
     assert p.errors > 0 and sq >= p.errors
     assert p.ci_halfwidth == _ci_halfwidth(errors, bits, frames * cfg.n_users, sq)
     assert p.ci_halfwidth != _ci_halfwidth(errors, bits)
 
 
+@pytest.mark.parametrize("receiver", ["chemp-estimated", "joint-estimated"])
+def test_batch_draw_order(monkeypatch, receiver):
+    # one frame as sent: info bits -> encode (coded), channels, the K pilot
+    # uses, then the data uses (symbols unless coded, data noise); the batch's
+    # counts and its generator's final state are rebuilt from those calls
+    coded = receiver == "joint-estimated"
+    cfg = (coded_cfg(receiver=receiver, snr_db=(2.0,)) if coded
+           else tiny_cfg(receiver=receiver, snr_db=(0.0,), frame_length=12))
+    code = build_sweep_code(cfg) if coded else None
+    rng = harness._batch_rng(cfg.seed, 0, 1)
+    monkeypatch.setattr(harness, "_batch_rng", lambda *key: rng)
+    got = _batch(code, cfg, 0, 1, 3)
+
+    ref = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
+    n, k = cfg.n_antennas, cfg.n_users
+    nv = noise_variance(cfg.snr_db[0], k)
+    if coded:
+        info = ref.integers(0, 2, size=(3, k, code.k)).astype(np.uint8)
+        x = bits_to_symbols(encode(code, info), k)
+    hc = draw_channels(ref, n, k, 3)
+    pilots = receive_pilots(ref, hc[:, None], nv, pilot_amplitude(k))
+    if coded:
+        _, yc = transmit(ref, hc, nv, x)
+        res = joint_detect_decode(gram_observation_from_pilots(pilots, yc), code,
+                                  cfg.joint, cfg.mpd)
+        per_codeword = np.sum(res.info_bits != info, axis=-1)
+        want = (info.size, int(per_codeword.sum()), 3, int(np.any(per_codeword, axis=-1).sum()),
+                int(np.sum(per_codeword ** 2)))
+    else:
+        x, yc = transmit(ref, hc, nv, uses=12 - k)
+        xh = hard_decision(mpd_detect(gram_observation_from_pilots(pilots, yc), cfg.mpd))
+        want = (x.size, int(np.sum(xh != x)), 3)
+    assert got[1] > 0
+    assert got == want
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # bit-for-bit guard: (bits, errors, frame_errors, trials) per SNR point of one
-# small seeded sweep per receiver, recorded before the batched channel/pilot
-# path was merged. A refactor that keeps the maths must reproduce them exactly.
-# Re-recorded where the maths changed: mmse-estimated when the channel
-# estimate took the complex noise variance 2 sigma^2 (590/156 errors before),
-# joint when converged codewords began leaving the decoder (20 and 130/58),
-# separate-estimated when the decoder went to float32 (50 errors at 5 dB
-# before: BER 4.34e-2 against 4.25e-2, codeword-clustered 95% half-widths
-# 2.49e-2 and 2.46e-2). All nine re-recorded when channels and pilot noise
-# moved to the polar-form draw, which changes every stream but not the
-# distribution; the old and new counts, with their 95% half-widths, are
-# listed in CHANGES.md.
+# small seeded sweep per receiver. A change that keeps the maths and the draw
+# order of `_batch` must reproduce them exactly; a change of either moves a
+# row, and CHANGES.md records each re-recorded row with its old and new
+# counts and 95% half-widths.
 GUARD = {
     "mpd": [(3200, 62, None, 200), (4800, 6, None, 300)],
     "mmse": [(1920, 71, None, 120), (4800, 35, None, 300)],
@@ -293,9 +365,9 @@ GUARD = {
     "mmse-estimated": [(5120, 576, None, 40), (5120, 171, None, 40)],
     "map-oracle": [(2400, 63, None, 300), (2400, 6, None, 300)],
     "joint": [(4608, 12, 5, 24), (4608, 0, 0, 24)],
-    "joint-estimated": [(1152, 173, 6, 6), (2304, 51, 9, 12)],
+    "joint-estimated": [(1152, 151, 6, 6), (3456, 46, 9, 18)],
     "separate": [(4608, 29, 8, 24), (4608, 0, 0, 24)],
-    "separate-estimated": [(1152, 217, 6, 6), (2304, 100, 8, 12)],
+    "separate-estimated": [(1152, 180, 6, 6), (2304, 77, 9, 12)],
 }
 
 
