@@ -113,15 +113,15 @@ def llr_mse_empirical(n_antennas: int, n_users: int, snr_db: float, trials: int,
     hc = draw_channels(rng, n, k, trials)
     pilots = receive_pilots(rng, hc, nv, 1.0)
     _, yc = transmit(rng, hc, nv)
-    yc = yc[:, 0]
     obs = matched_filter(hc, yc, nv)
-    # uniform beliefs: each half of symbol i sees sum_{j != i} |G_ij|^2
-    idx = np.arange(k)
+    # uniform beliefs: each half of symbol i sees sum_{j != i} |G_ij|^2 (on z's one use)
+    z, idx = obs.z, np.arange(k)
     g_sq = np.abs(obs.G) ** 2
-    g_sq[:, idx, idx] = 0.0
-    sigma_i_sq = np.tile(g_sq.sum(axis=-1), 2) + obs.sigma_v_sq
-    L = 2.0 * np.tile(obs.G[:, idx, idx].real, 2) * obs.z / sigma_i_sq
+    g_sq[..., idx, idx] = 0.0
+    sigma_i_sq = np.tile(g_sq.sum(axis=-1), 2).reshape(z.shape) + obs.sigma_v_sq
+    L = 2.0 * np.tile(obs.G[..., idx, idx].real, 2).reshape(z.shape) * z / sigma_i_sq
     gh = estimate_gram(pilots)
-    Lh = 2.0 * np.tile(gh[:, idx, idx].real, 2) * estimate_z(pilots, yc) / sigma_i_sq
-    bound = llr_mse_bound(2.0 * nv, k / n, n, obs.z, np.zeros_like(obs.z), sigma_i_sq)
+    Lh = (2.0 * np.tile(gh[..., idx, idx].real, 2).reshape(z.shape) * estimate_z(pilots, yc)
+          / sigma_i_sq)
+    bound = llr_mse_bound(2.0 * nv, k / n, n, z, np.zeros_like(z), sigma_i_sq)
     return float(np.mean((Lh - L) ** 2)), float(np.mean(bound))

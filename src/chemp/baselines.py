@@ -12,21 +12,17 @@ __all__ = ["mmse_detect", "map_oracle"]
 def mmse_detect(obs: GramObservation):
     """Regularized linear estimate from the matched-filter statistics.
 
-    Solves (G + sigma_v^2 I) s_c = z_c, one complex K x K LU per Gram (a Gram
-    shared by a use axis of z takes the uses as right-hand-side columns),
-    which is (H^T H + sigma_n^2 I) s = H^T y of the real-stacked channel
-    scaled by 1/N. Returns real (x_hat, s) with s = [Re s_c, Im s_c] (..., 2K)
-    and x_hat its signs, in G's precision.
+    Solves (G + sigma_v^2 I) s_c = z_c, one complex K x K LU per Gram with
+    the uses of z as right-hand-side columns, which is
+    (H^T H + sigma_n^2 I) s = H^T y of the real-stacked channel scaled by
+    1/N. Returns real (x_hat, s) with s = [Re s_c, Im s_c] (..., U, 2K) and
+    x_hat its signs, in G's precision.
     """
     G = obs.G
     k = G.shape[-1]
     A = G + obs.sigma_v_sq * np.eye(k, dtype=G.dtype)
     zc = obs.z[..., :k] + 1j * obs.z[..., k:]
-    if G.shape[:-2] == zc.shape[:-1]:
-        sc = np.linalg.solve(A, zc[..., None])[..., 0]
-    else:  # drop G's unit use axis; z's uses become columns
-        sc = np.linalg.solve(A.reshape(A.shape[:-3] + (k, k)), np.swapaxes(zc, -1, -2))
-        sc = np.swapaxes(sc, -1, -2)
+    sc = np.swapaxes(np.linalg.solve(A, np.swapaxes(zc, -1, -2)), -1, -2)
     s = np.concatenate([sc.real, sc.imag], axis=-1)
     return np.where(s >= 0, 1.0, -1.0).astype(s.dtype), s
 
@@ -44,12 +40,15 @@ def map_oracle(obs: GramObservation) -> np.ndarray:
     Minimizes c^T J c - 2 c^T z, which is ||y - H c||^2 / N of the
     real-stacked channel up to a constant; with equiprobable symbols the
     decision does not depend on the noise level. Requires 2K <= 16.
-    Accepts leading batch dimensions; searches and decides in J's precision.
+    The quadratic term is formed once per Gram and broadcast over its uses,
+    and the linear term of every use comes from one product; returns
+    (..., U, 2K) decisions, searched and decided in J's precision.
     """
     J = obs.J
     m = J.shape[-1]
     if m > 16:
         raise ValueError("exhaustive search limited to 2K <= 16 symbols")
     cand = _candidates(m).astype(J.dtype)
-    d = np.sum((cand @ J) * cand, axis=-1) - 2.0 * (obs.z @ cand.T)
+    quad = np.sum((cand @ J) * cand, axis=-1)
+    d = np.expand_dims(quad, -2) - 2.0 * np.tensordot(obs.z, cand, (-1, -1))
     return cand[np.argmin(d, axis=-1)]

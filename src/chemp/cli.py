@@ -247,9 +247,9 @@ def _cmd_convergence(args) -> int:
     cfg = MpdConfig(**_nested(args, "mpd"))
     hc = draw_channels(rng, args.n, args.k, args.trials)
     _, yc = transmit(rng, hc, nv)
-    obs = matched_filter(hc, yc[:, 0], nv)
+    obs = matched_filter(hc, yc, nv)
     rep = convergence_condition(obs.J)
-    hit = fixed_point_residuals(MpdEngine(obs), cfg) < args.tol  # (iterations, trials)
+    hit = fixed_point_residuals(MpdEngine(obs), cfg).max(axis=-1) < args.tol  # (iters, trials)
     iters = np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, -1)
     anti = rep.anti_dominance.mean(axis=-1)
     diag = rep.diagonal_dominance.mean(axis=-1)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _complex_normal, as_complex, gram
-from .mpd import GramObservation
+from .mpd import GramObservation, _filtered
 
 __all__ = [
     "PilotObservation",
@@ -84,11 +84,9 @@ def estimate_gram(pilots: PilotObservation) -> np.ndarray:
 
 
 def estimate_z(pilots: PilotObservation, yc: np.ndarray) -> np.ndarray:
-    """Matched-filter estimate zhat = [Re, Im] of Y_p^H yc / (N P)."""
-    yc = np.asarray(yc, dtype=pilots.Y_p.dtype)
-    zc = ((np.conj(np.swapaxes(pilots.Y_p, -1, -2)) @ yc[..., None])[..., 0]
-          / (pilots.n_antennas * pilots.amplitude))
-    return np.concatenate([zc.real, zc.imag], axis=-1)
+    """Matched-filter estimate zhat = [Re, Im] of Y_p^H yc / (N P) for every
+    use row of yc (..., U, N), with the pilot block's leading axes."""
+    return _filtered(pilots.Y_p, yc, pilots.n_antennas * pilots.amplitude)
 
 
 def gram_observation_from_pilots(pilots: PilotObservation, yc: np.ndarray) -> GramObservation:

@@ -8,15 +8,15 @@ channels, pilots (receivers named "-estimated"), then symbols (uncoded) and
 data noise. One loop, `_accumulate`, folds the batches strictly in index
 order and holds the stopping rule, so results are bit-identical for any
 worker count: one worker runs each batch in the calling thread, more run
-them in a process pool. A sweep stops a point once the target bit-error
-count is collected or the trial budget is exhausted, whichever happens
-first.
+them in one process pool per sweep. A sweep stops a point once the target
+bit-error count is collected or the trial budget is exhausted, whichever
+happens first.
 
 Heap policy: a batch allocates tens of MB of arrays (channel draw, Gram,
 detector state) and frees them when it returns. Under glibc's default,
 dynamic thresholds the freed top of the heap goes back to the OS, so the
 next batch faults every page in again and the kernel zeroes it: 10-17% of
-a steady-state batch on the benchmark workloads. The scheduling loop and
+a steady-state batch on the benchmark workloads. A sweep's process and
 every pool worker therefore set, through mallopt(3), glibc's mmap
 threshold (M_MMAP_THRESHOLD) to its 64-bit maximum of 32 MiB, so batch
 arrays come from the heap, and its trim threshold (M_TRIM_THRESHOLD) to a
@@ -27,13 +27,12 @@ freed heap after a sweep. On a C library other than glibc nothing is set.
 """
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import hashlib
 import json
 import platform
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -206,7 +205,8 @@ def _batch(code: LdpcCode | None, cfg: SimConfig, point_idx: int, batch_idx: int
 
     Draws in frame order: the info bits of a coded frame, the channels, the K
     pilot uses of a receiver named "-estimated", then the data uses: the
-    symbols of an uncoded frame and the data noise. Returns (bits, errors,
+    symbols of an uncoded frame and the data noise. A frame is one channel
+    and its uses (one, the data uses or n/2). Returns (bits, errors,
     trials), and for a coded batch also the frame errors and the sum over
     codewords of the squared info-bit error count.
     """
@@ -219,19 +219,14 @@ def _batch(code: LdpcCode | None, cfg: SimConfig, point_idx: int, batch_idx: int
         x = bits_to_symbols(encode(code, info), k)
     hc = draw_channels(rng, n, k, n_trials)
     estimated = cfg.receiver.endswith("-estimated")
-    if estimated:
-        # the pilot block gets a use axis so its statistics broadcast over the data uses
-        pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k))
+    pilots = receive_pilots(rng, hc, nv, pilot_amplitude(k)) if estimated else None
     x, yc = transmit(rng, hc, nv, x, uses=(cfg.frame_length or 2 * k) - k if estimated else 1)
     if cfg.receiver == "mmse-estimated":
         obs = matched_filter(mmse_channel_estimate(pilots), yc, nv)
     elif estimated:
         obs = gram_observation_from_pilots(pilots, yc)
-    elif code is not None:
-        obs = matched_filter(hc[:, None], yc, nv)
     else:
-        obs = matched_filter(hc, yc[:, 0], nv)
-        x = x[:, 0]
+        obs = matched_filter(hc, yc, nv)
     if code is None:
         if cfg.receiver in ("mpd", "chemp-estimated"):
             xh = hard_decision(mpd_detect(obs, cfg.mpd))
@@ -267,7 +262,7 @@ def _keep_freed_heap():
             raise OSError(f"mallopt({param}, {value}) failed")
 
 
-class _InThisThread(contextlib.nullcontext):
+class _InThisThread(Executor):
     """Executor of the one-worker case: no pool and no thread. A submitted
     batch runs in the calling thread when its result is read, so a batch
     cancelled once the stopping rule fires never runs."""
@@ -284,21 +279,19 @@ class _Deferred(functools.partial):
         return True
 
 
-def _accumulate(cfg: SimConfig, point_idx: int, batch_fn, workers: int):
-    """Run batches in index order until the stopping rule fires.
+def _accumulate(cfg: SimConfig, point_idx: int, batch_fn, pool, workers: int):
+    """Run batches in index order on `pool` until the stopping rule fires.
 
     Up to 2 * `workers` batches are in flight; `batch_fn(cfg, point_idx,
-    batch_idx, n_trials)` must be picklable when `workers > 1`. This process
-    and every worker run under the heap policy.
+    batch_idx, n_trials)` must be picklable when `workers > 1`. The pending
+    ones are cancelled once the rule fires, and all of them on an error,
+    which then reaches the caller without waiting for the queued batches.
     """
-    _keep_freed_heap()
     takes = [min(cfg.batch_size, cfg.max_trials - done)
              for done in range(0, cfg.max_trials, cfg.batch_size)]
-    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_heap)
-            if workers > 1 else _InThisThread())
     totals = None
-    with pool:
-        pending = {}
+    pending = {}
+    try:
         for bi in range(len(takes)):
             for bj in range(bi + len(pending), min(bi + 2 * workers, len(takes))):
                 pending[bj] = pool.submit(batch_fn, cfg, point_idx, bj, takes[bj])
@@ -306,16 +299,24 @@ def _accumulate(cfg: SimConfig, point_idx: int, batch_fn, workers: int):
             totals = part if totals is None else tuple(a + b for a, b in zip(totals, part))
             if totals[1] >= cfg.target_errors:
                 break
-        for fut in pending.values():
-            fut.cancel()
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    for fut in pending.values():
+        fut.cancel()
     return totals
 
 
 def _sweep(cfg: SimConfig, workers: int, code: LdpcCode | None = None) -> BerCurve:
-    """The sweep body of both sweeps: one point per SNR, uncoded when `code` is None."""
+    """The sweep body of both sweeps, uncoded when `code` is None: one point
+    per SNR, all on one executor, under the heap policy in every process."""
     batch_fn = functools.partial(_batch, code)
-    points = [_make_point(snr, cfg.n_users, *_accumulate(cfg, pi, batch_fn, workers))
-              for pi, snr in enumerate(cfg.snr_db)]
+    _keep_freed_heap()
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_heap)
+            if workers > 1 else _InThisThread())
+    with pool:
+        points = [_make_point(snr, cfg.n_users, *_accumulate(cfg, pi, batch_fn, pool, workers))
+                  for pi, snr in enumerate(cfg.snr_db)]
     provenance = {"config": asdict(cfg), "config_hash": config_hash(cfg),
                   "seed": cfg.seed, "numpy": np.__version__}
     if code is not None:

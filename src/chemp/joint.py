@@ -86,17 +86,19 @@ def bits_to_symbols(bits: np.ndarray, n_users: int) -> np.ndarray:
     bit 2u+1 the imaginary component (column K+j).
     """
     bits = np.asarray(bits)
-    k = bits.shape[-2]
-    if k != n_users:
+    if bits.shape[-2] != n_users:
         raise ValueError("bits second-to-last axis must equal the user count")
-    n = bits.shape[-1]
-    if n % 2:
+    if bits.shape[-1] % 2:
         raise ValueError("codeword length must be even")
-    sym = modulate(bits)
+    return _symbol_layout(modulate(bits))
+
+
+def _symbol_layout(per_bit: np.ndarray) -> np.ndarray:
+    """Inverse of `gather_bit_llrs`: per-bit values (..., K, n) as symbols (..., n/2, 2K)."""
+    k, n = per_bit.shape[-2:]
     # (..., K, n) -> (..., K, n/2, 2) -> (..., n/2, 2, K) -> (..., n/2, 2K)
-    sym = sym.reshape(bits.shape[:-1] + (n // 2, 2))
-    sym = np.moveaxis(sym, -3, -1)  # (..., n/2, 2, K)
-    return sym.reshape(sym.shape[:-2] + (2 * n_users,))
+    a = np.moveaxis(per_bit.reshape(per_bit.shape[:-1] + (n // 2, 2)), -3, -1)
+    return a.reshape(a.shape[:-2] + (2 * k,))
 
 
 def gather_bit_llrs(symbol_llrs: np.ndarray, n_users: int) -> np.ndarray:
@@ -112,10 +114,9 @@ def _framing(obs: GramObservation, code: LdpcCode):
     """User count K and frame axes of an observation batch z (..., n/2, 2K)."""
     if code.n % 2:
         raise ValueError("block length must be even to map onto symbol pairs")
-    z = obs.z
-    if z.ndim < 2 or z.shape[-2] != code.n // 2:
+    if obs.z.shape[-2] != code.n // 2:
         raise ValueError("observation z must carry one row per channel use")
-    return z.shape[-1] // 2, z.shape[:-2]
+    return obs.z.shape[-1] // 2, obs.z.shape[:-2]
 
 
 def joint_detect_decode(obs: GramObservation, code: LdpcCode,
@@ -123,9 +124,11 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
                         mpd_cfg: MpdConfig | None = None) -> JointResult:
     """Run the outer detector/decoder schedule on framed observations.
 
-    `obs.z` has shape (..., n/2, 2K); `obs.G` is shared across the uses
-    of a frame (shape (..., 1, K, K) or (K, K)). LLR convention:
-    positive favors bit 0 / symbol +1.
+    One frame is one channel and its n/2 uses: `obs.G` is (..., K, K) and
+    `obs.z` (..., n/2, 2K). The first round's detector runs without a
+    prior; every later round's prior is each codeword's decoder extrinsic,
+    the one a codeword left with once it has left, clipped to `LLR_CLIP`.
+    LLR convention: positive favors bit 0 / symbol +1.
     """
     cfg = cfg or JointConfig()
     mpd_cfg = mpd_cfg or MpdConfig()
@@ -136,23 +139,17 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
     rounds = np.full(dec.ok.shape, cfg.outer_iterations)
 
     p = engine.uniform_beliefs()
-    ext_sym = np.zeros_like(engine.z)
-    # ext_sym as (frame, use, component, user): codeword row f * K + k of the
-    # decoder is [f, :, :, k], its bits in use-major order
-    ext_rows = ext_sym.reshape(-1, code.n // 2, 2, n_users)
+    prior = None
     for r in range(1, cfg.outer_iterations + 1):
-        state = engine.run(mpd_cfg, p, ext_sym, cfg.detector_passes)
+        state = engine.run(mpd_cfg, p, prior, cfg.detector_passes)
         p = state.p
         # the float32 detector LLRs enter the decoder, which runs in the same DTYPE
         flat = gather_bit_llrs(state.llr, n_users).reshape(-1, code.n)
-        ran = dec.live
         rounds[dec.run(flat, cfg.decoder_passes)] = r
         if not dec.live.size:
             break
-        # only the rows that ran have a new extrinsic; a codeword that has
-        # left keeps feeding back the one it left with
-        ext_rows[ran // n_users, :, :, ran % n_users] = np.clip(
-            dec.ext[ran], -LLR_CLIP, LLR_CLIP).reshape(-1, code.n // 2, 2)
+        prior = np.clip(_symbol_layout(dec.ext.reshape(shape + (code.n,))),
+                        -LLR_CLIP, LLR_CLIP)
     dec.finish(flat)
 
     return JointResult(
@@ -256,8 +253,7 @@ def measure_exit_detector(n_antennas: int, n_users: int, snr_db: float,
     nv = noise_variance(snr_db, n_users)
     hc = draw_channels(rng, n_antennas, n_users, n_channels)
     x, yc = transmit(rng, hc, nv, uses=uses_per_channel)
-    # one Gram per channel, shared by its uses: G (B, 1, K, K), z (B, U, 2K)
-    obs = matched_filter(hc[:, None], yc, nv)
+    obs = matched_filter(hc, yc, nv)
     z = obs.z
     engine = MpdEngine(obs)
 

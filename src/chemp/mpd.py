@@ -22,9 +22,9 @@ The observation carries G, so J's block structure belongs to the type: the
 lower K rows of J repeat the upper K rows with the halves of the belief
 vector exchanged, and a step only needs the upper rows.
 
-All entry points accept leading batch dimensions on G and z, and the
-loop runs every row of a batch the same fixed number of steps, so a trial's
-result does not depend on which other trials share its batch.
+One layout throughout: a Gram per channel, G (..., K, K), and a row of z
+per use, z (..., U, 2K). The loop runs every row of a batch the same fixed
+number of steps, so a trial's result does not depend on its batch mates.
 
 Working precision: the engine keeps the off-diagonal J, its square, the
 diagonal and z in float32 (`DTYPE`) and runs every step in it, which halves
@@ -61,8 +61,9 @@ __all__ = [
 
 @dataclass
 class GramObservation:
-    """Matched-filter statistics: complex Gram G (..., K, K), real z (..., 2K)
-    = [Re zc, Im zc] in G's precision, and the filtered noise variance."""
+    """Matched-filter statistics: a complex Gram per channel G (..., K, K), a real
+    row z = [Re zc, Im zc] per use (..., U, 2K) in G's precision, and the
+    filtered noise variance."""
 
     G: np.ndarray
     z: np.ndarray
@@ -74,8 +75,9 @@ class GramObservation:
         self.sigma_v_sq = float(self.sigma_v_sq)
         if self.G.shape[-1] != self.G.shape[-2]:
             raise ValueError("G must be square in its trailing axes")
-        if self.z.shape[-1] != 2 * self.G.shape[-1]:
-            raise ValueError("z length must be twice the size of G")
+        if (self.z.ndim != self.G.ndim or self.z.shape[:-2] != self.G.shape[:-2]
+                or self.z.shape[-1] != 2 * self.G.shape[-1]):
+            raise ValueError(f"z {self.z.shape} must be (..., U, 2K) with the leading axes of G")
         if not np.all(np.isfinite(self.G)) or not np.all(np.isfinite(self.z)):
             raise ValueError("observation must be finite")
         if self.sigma_v_sq <= 0:
@@ -123,18 +125,25 @@ class BeliefState:
 
 
 def matched_filter(hc: np.ndarray, yc: np.ndarray, noise_var: float) -> GramObservation:
-    """Reduce complex (hc (..., N, K), yc (..., N)) to the Gram-domain observation.
+    """Reduce complex channels hc (..., N, K) and received rows yc (..., U, N)
+    to the Gram-domain observation.
 
-    G = `model.gram(hc)` and z = [Re, Im] of hc^H yc / N, both in hc's
-    precision. The filtered noise has per-component variance noise_var / N
-    for unit-variance complex gains.
+    G = `model.gram(hc)` and z = [Re, Im] of hc^H yc / N per use, both in
+    hc's precision. The filtered noise has per-component variance
+    noise_var / N for unit-variance complex gains.
     """
     hc = as_complex(hc)
-    yc = np.asarray(yc, dtype=hc.dtype)
     n = hc.shape[-2]
-    zc = (np.conj(np.swapaxes(hc, -1, -2)) @ yc[..., None])[..., 0] / n
-    z = np.concatenate([zc.real, zc.imag], axis=-1)
-    return GramObservation(G=gram(hc), z=z, sigma_v_sq=noise_var / n)
+    return GramObservation(G=gram(hc), z=_filtered(hc, yc, n), sigma_v_sq=noise_var / n)
+
+
+def _filtered(a: np.ndarray, yc: np.ndarray, scale) -> np.ndarray:
+    """[Re, Im] of a^H y / scale, one product per use row y of yc (..., U, N)."""
+    yc = np.asarray(yc, dtype=a.dtype)
+    if yc.ndim != a.ndim or yc.shape[:-2] != a.shape[:-2] or yc.shape[-1] != a.shape[-2]:
+        raise ValueError(f"yc {yc.shape} must be (..., U, N) with the leading axes of {a.shape}")
+    zc = (np.conj(np.swapaxes(a, -1, -2))[..., None, :, :] @ yc[..., None])[..., 0] / scale
+    return np.concatenate([zc.real, zc.imag], axis=-1)
 
 
 def _logistic(L: np.ndarray) -> np.ndarray:
@@ -147,19 +156,18 @@ class MpdEngine:
     `iterate` is the damped loop over `step` and `run` drains it; the coded
     receiver and the EXIT measurement run it with external symbol priors.
 
-    With one Gram per use (G shaped like z's leading axes), the engine keeps
-    only the upper rows of the zero-diagonal J, V = [Re G, -Im G] (..., K, 2K),
-    and W = V**2. A step forms mu for both halves as one two-row product per
-    Gram, rows [s_r, s_i] and [s_i, -s_r] against V, and var likewise with
-    rows [q_r, q_i] and [q_i, q_r] against W (see `_stacked_product`).
+    The step follows the use count U of z (..., U, 2K). With one use per Gram
+    (U == 1) it is bound by memory: the engine keeps only the upper rows of
+    the zero-diagonal J, V = [Re G, -Im G] (..., K, 2K), and W = V**2, and a
+    step forms mu for both halves as one two-row product per Gram, rows
+    [s_r, s_i] and [s_i, -s_r] against V, and var likewise with rows
+    [q_r, q_i] and [q_i, q_r] against W (see `_stacked_product`).
 
-    When one Gram serves a use axis of z (G shaped (..., 1, K, K) or (K, K),
-    z shaped (..., U, 2K)), the step is compute-bound: the engine keeps the
-    transpose of the full zero-diagonal J, J^T = [[Re G^T, Im G^T],
-    [-Im G^T, Re G^T]], and W = (J^T)**2, built once from G, and forms
-    mu = s J^T and var = q W for all U uses (rows s, q) as one matrix product
-    per Gram with no transposed operand; the row s J^T is J s for any
-    complex G, Hermitian or not.
+    With U > 1 the step is compute-bound: the engine keeps the transpose of
+    the full zero-diagonal J, J^T = [[Re G^T, Im G^T], [-Im G^T, Re G^T]], and
+    W = (J^T)**2, built once from G, and forms mu = s J^T and var = q W for
+    all U uses (rows s, q) as one matrix product per Gram with no transposed
+    operand; the row s J^T is J s for any complex G, Hermitian or not.
 
     Either way the state is written in `DTYPE` straight from the complex G,
     and every step runs in it.
@@ -169,8 +177,8 @@ class MpdEngine:
         G = obs.G
         k = G.shape[-1]
         d = np.diagonal(G, axis1=-2, axis2=-1).real
-        self.diag = np.concatenate([d, d], axis=-1, dtype=DTYPE)
-        self.shared = obs.z.ndim >= 2 and (G.ndim == 2 or G.shape[-3] == 1)
+        self.diag = np.expand_dims(np.concatenate([d, d], axis=-1, dtype=DTYPE), -2)
+        self.shared = obs.z.shape[-2] > 1
         rows = 2 * k if self.shared else k
         # the upper rows of the zero-diagonal J, or all of J^T when shared,
         # written straight from complex G
@@ -199,15 +207,12 @@ class MpdEngine:
         p = np.asarray(p, dtype=DTYPE)
         s = 2.0 * p - 1.0
         q = 4.0 * p * (1.0 - p)
-        v, w = self.v, self.w
         if self.shared:
-            # one Gram serves p's use axis: drop G's unit use axis, then (U, 2K) @ J^T
-            gram = v.shape[:-3] + v.shape[-2:]
-            mu = s @ v.reshape(gram)
-            var = q @ w.reshape(gram) + self.sigma_v_sq
+            mu = s @ self.v
+            var = q @ self.w + self.sigma_v_sq
         else:
-            mu = _stacked_product(v, s, -1.0)
-            var = _stacked_product(w, q, 1.0) + self.sigma_v_sq
+            mu = _stacked_product(self.v, s, -1.0)
+            var = _stacked_product(self.w, q, 1.0) + self.sigma_v_sq
         L = 2.0 * self.diag * (self.z - mu) / var
         return np.clip(L, -LLR_CLIP, LLR_CLIP)
 
@@ -253,19 +258,19 @@ class MpdEngine:
 
 
 def _stacked_product(upper: np.ndarray, a: np.ndarray, sign: float) -> np.ndarray:
-    """M a for M = [[P, Q], [sign Q, P]] given its upper rows [P, Q] (..., K, 2K).
+    """M a per use row of a (..., U, 2K), M = [[P, Q], [sign Q, P]] given its
+    upper rows [P, Q] (..., K, 2K).
 
-    Both halves come from one two-row product per matrix: rows [a_r, a_i]
-    and [a_i, sign a_r] of a (..., 2K) against the upper rows. The
-    zero-diagonal J has this form with sign -1 (V = [Re G, -Im G]) and J**2
-    with sign +1 (W = V**2).
+    Both halves come from one two-row product per matrix and use: rows
+    [a_r, a_i] and [a_i, sign a_r] against the upper rows. The zero-diagonal
+    J has this form with sign -1 (V = [Re G, -Im G]) and J**2 with sign +1.
     """
     k = upper.shape[-2]
     rows = np.empty(a.shape[:-1] + (2, 2 * k), np.result_type(a, upper))
     rows[..., 0, :] = a
     rows[..., 1, :k] = a[..., k:]
     np.multiply(a[..., :k], sign, out=rows[..., 1, k:])
-    out = rows @ np.swapaxes(upper, -1, -2)
+    out = rows @ np.expand_dims(np.swapaxes(upper, -1, -2), -3)
     return out.reshape(out.shape[:-2] + (2 * k,))
 
 

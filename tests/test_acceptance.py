@@ -102,7 +102,7 @@ def test_ac03_map_agreement():
     agree = 0
     for _ in range(trials // batch):
         hcs = draw_channels(rng, n, k, batch)
-        obs = matched_filter(hcs, transmit(rng, hcs, nv)[1][:, 0], nv)
+        obs = matched_filter(hcs, transmit(rng, hcs, nv)[1], nv)
         xh = hard_decision(mpd_detect(obs, MpdConfig()))
         xm = map_oracle(obs)
         agree += int(np.sum(np.all(xh == xm, axis=-1)))
@@ -140,12 +140,12 @@ def test_ac05_acceleration_iteration_count():
     n = k = 64
     nv = noise_variance(12.0, k)
     hc = draw_channels(rng, n, k, 200)
-    obs = matched_filter(hc, transmit(rng, hc, nv)[1][:, 0], nv)
+    obs = matched_filter(hc, transmit(rng, hc, nv)[1], nv)
 
     engine = MpdEngine(obs)
 
     def median_iters_to_tol(cfg):
-        hit = fixed_point_residuals(engine, cfg) < 1e-3  # (iterations, trials)
+        hit = fixed_point_residuals(engine, cfg) < 1e-3  # (iterations, trials, 1 use)
         return float(np.median(np.where(hit.any(axis=0), hit.argmax(axis=0) + 1,
                                         cfg.iterations)))
 
@@ -323,7 +323,7 @@ def test_ac12_joint_gain_and_noiseless_recovery():
     hc = draw_channels(rng, 32, k)
     nv = noise_variance(300.0, k)
     y = x @ real_stack(hc).T
-    obs = matched_filter(hc[None], y[:, :32] + 1j * y[:, 32:], nv)
+    obs = matched_filter(hc, y[:, :32] + 1j * y[:, 32:], nv)
     res = joint_detect_decode(obs, code, JointConfig(outer_iterations=2,
                                                      detector_passes=20))
     clean_ok = bool(np.all(res.success)) and res.outer_rounds <= 2 \

@@ -43,9 +43,9 @@ def test_convergence_condition_hardening_improves_with_antennas(rng):
 def test_fixed_point_residuals_decrease(rng):
     hc = draw_channels(rng, 64, 16, 3)
     nv = noise_variance(12.0, 16)
-    engine = MpdEngine(matched_filter(hc, transmit(rng, hc, nv)[1][:, 0], nv))
+    engine = MpdEngine(matched_filter(hc, transmit(rng, hc, nv)[1], nv))
     res = fixed_point_residuals(engine, MpdConfig(iterations=20))
-    assert res.shape == (20, 3)
+    assert res.shape == (20, 3, 1)
     assert np.all(res[-1] < res[0])
     assert np.all(res[-1] < 1e-3)
 
@@ -55,7 +55,7 @@ def test_fixed_point_residuals_match_the_iterates(rng, aitken):
     # the sup-norm differences of the whole belief sequence, bit for bit
     hc = draw_channels(rng, 16, 4, 5)
     nv = noise_variance(6.0, 4)
-    engine = MpdEngine(matched_filter(hc, transmit(rng, hc, nv)[1][:, 0], nv))
+    engine = MpdEngine(matched_filter(hc, transmit(rng, hc, nv)[1], nv))
     cfg = MpdConfig(iterations=9, aitken=aitken)
     beliefs = np.stack([engine.uniform_beliefs()] + [p for _, p in engine.iterate(cfg)])
     want = np.max(np.abs(beliefs[1:] - beliefs[:-1]), axis=-1)
@@ -64,8 +64,8 @@ def test_fixed_point_residuals_match_the_iterates(rng, aitken):
 
 def test_fixed_point_residuals_need_a_step(rng):
     hc = draw_channels(rng, 16, 4)
-    y = rng.standard_normal(32)
-    engine = MpdEngine(matched_filter(hc, y[:16] + 1j * y[16:], 0.5))
+    y = rng.standard_normal((1, 32))
+    engine = MpdEngine(matched_filter(hc, y[:, :16] + 1j * y[:, 16:], 0.5))
     with pytest.raises(ValueError):
         fixed_point_residuals(engine, MpdConfig(iterations=0))
 

@@ -23,9 +23,9 @@ from chemp import (
 
 
 def observe(rng, hc, x, nv):
-    """Complex received vectors for real-stacked symbols x, one use per row,
-    and their matched-filter observation; returns (obs, yc)."""
-    yc = transmit(rng, hc, nv, x[..., None, :])[1][..., 0, :]
+    """Complex received vectors for real-stacked symbols x (..., U, 2K), one
+    use per row, and their matched-filter observation; returns (obs, yc)."""
+    yc = transmit(rng, hc, nv, x)[1]
     return matched_filter(hc, yc, nv), yc
 
 
@@ -34,7 +34,9 @@ def stacked(yc):
 
 
 def mmse_reference(H, y, nv):
-    """(H^T H + nv I) s = H^T y on the real-stacked channel."""
+    """(H^T H + nv I) s = H^T y on the real-stacked channel, for every use
+    row of y (..., U, 2N)."""
+    H = H[..., None, :, :]
     ht = np.swapaxes(H, -1, -2)
     A = ht @ H + nv * np.eye(H.shape[-1])
     return np.linalg.solve(A, (ht @ y[..., None]))[..., 0]
@@ -52,7 +54,7 @@ def map_reference(H, y):
 
 def test_mmse_noiseless_recovery(rng):
     hc = draw_channels(rng, 32, 8)
-    x = modulate(rng.integers(0, 2, 16))
+    x = modulate(rng.integers(0, 2, (1, 16)))
     xhat, s = mmse_detect(observe(rng, hc, x, 1e-12)[0])
     np.testing.assert_array_equal(xhat, x)
     np.testing.assert_allclose(s, x, atol=1e-5)
@@ -62,7 +64,7 @@ def test_mmse_noiseless_recovery(rng):
 def test_mmse_matches_real_stacked_solve(rng, shape):
     hc = draw_channels(rng, 16, 4, shape).astype(complex)
     nv = noise_variance(6.0, 4)
-    obs, yc = observe(rng, hc, modulate(rng.integers(0, 2, shape + (8,))), nv)
+    obs, yc = observe(rng, hc, modulate(rng.integers(0, 2, shape + (1, 8))), nv)
     xhat, s = mmse_detect(obs)
     # the Gram-domain system is the real one scaled by 1/N
     ref = mmse_reference(real_stack(hc), stacked(yc), nv)
@@ -72,11 +74,9 @@ def test_mmse_matches_real_stacked_solve(rng, shape):
 
 def test_mmse_shared_gram_matches_real_stacked_solve(rng):
     # one Gram per channel serves a use axis of z
-    hc = draw_channels(rng, 16, 4, (3, 1)).astype(complex)
+    hc = draw_channels(rng, 16, 4, 3).astype(complex)
     nv = noise_variance(6.0, 4)
-    obs, yc = observe(rng, np.broadcast_to(hc, (3, 5, 16, 4)),
-                      modulate(rng.integers(0, 2, (3, 5, 8))), nv)
-    obs = GramObservation(G=obs.G[:, :1], z=obs.z, sigma_v_sq=obs.sigma_v_sq)
+    obs, yc = observe(rng, hc, modulate(rng.integers(0, 2, (3, 5, 8))), nv)
     xhat, s = mmse_detect(obs)
     assert s.shape == (3, 5, 8)
     ref = mmse_reference(real_stack(hc), stacked(yc), nv)
@@ -88,13 +88,14 @@ def test_mmse_shared_gram_matches_real_stacked_solve(rng):
 def test_mmse_shared_gram_matches_broadcast_solve(rng, lead):
     # one LU per shared Gram with the uses as columns against one solve per use
     k, uses = 16, 40
-    hc = draw_channels(rng, 32, k, lead + (1,) if lead else ()).astype(complex)
+    hc = draw_channels(rng, 32, k, lead).astype(complex)
     nv = noise_variance(4.0, k)
     obs, _ = observe(rng, hc, modulate(rng.integers(0, 2, lead + (uses, 2 * k))), nv)
-    assert obs.G.shape == lead + ((1,) if lead else ()) + (k, k)
+    assert obs.G.shape == lead + (k, k)
     xhat, s = mmse_detect(obs)
     zc = obs.z[..., :k] + 1j * obs.z[..., k:]
-    sc = np.linalg.solve(obs.G + obs.sigma_v_sq * np.eye(k), zc[..., None])[..., 0]
+    A = (obs.G + obs.sigma_v_sq * np.eye(k))[..., None, :, :]
+    sc = np.linalg.solve(A, zc[..., None])[..., 0]
     ref = np.concatenate([sc.real, sc.imag], axis=-1)
     assert s.shape == ref.shape == lead + (uses, 2 * k)
     np.testing.assert_allclose(s, ref, rtol=1e-10)
@@ -103,7 +104,7 @@ def test_mmse_shared_gram_matches_broadcast_solve(rng, lead):
 
 def test_mmse_batched_matches_loop(rng):
     hc = draw_channels(rng, 16, 4, 6)
-    obs, _ = observe(rng, hc, modulate(rng.integers(0, 2, (6, 8))), 0.7)
+    obs, _ = observe(rng, hc, modulate(rng.integers(0, 2, (6, 1, 8))), 0.7)
     xb, sb = mmse_detect(obs)
     for i in range(6):
         xi, si = mmse_detect(GramObservation(G=obs.G[i], z=obs.z[i], sigma_v_sq=obs.sigma_v_sq))
@@ -113,7 +114,7 @@ def test_mmse_batched_matches_loop(rng):
 
 def test_mmse_regularization_shrinks_estimate(rng):
     hc = draw_channels(rng, 16, 8)
-    yc = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    yc = rng.standard_normal((1, 16)) + 1j * rng.standard_normal((1, 16))
     _, s_small = mmse_detect(matched_filter(hc, yc, 1e-9))
     _, s_large = mmse_detect(matched_filter(hc, yc, 100.0))
     assert np.linalg.norm(s_large) < np.linalg.norm(s_small)
@@ -122,28 +123,29 @@ def test_mmse_regularization_shrinks_estimate(rng):
 def test_map_oracle_matches_enumeration(rng):
     hc = draw_channels(rng, 8, 2)
     nv = noise_variance(6.0, 2)
-    obs, yc = observe(rng, hc, modulate(rng.integers(0, 2, 4)), nv)
-    np.testing.assert_array_equal(map_oracle(obs), map_reference(real_stack(hc), stacked(yc)))
+    obs, yc = observe(rng, hc, modulate(rng.integers(0, 2, (1, 4))), nv)
+    np.testing.assert_array_equal(map_oracle(obs)[0], map_reference(real_stack(hc), stacked(yc[0])))
 
 
 def test_map_oracle_batched(rng):
     hc = draw_channels(rng, 8, 2, 4)
-    obs, yc = observe(rng, hc, modulate(rng.integers(0, 2, (4, 4))), 1.0)
+    obs, yc = observe(rng, hc, modulate(rng.integers(0, 2, (4, 1, 4))), 1.0)
     out = map_oracle(obs)
-    assert out.shape == (4, 4)
+    assert out.shape == (4, 1, 4)
     for i in range(4):
-        np.testing.assert_array_equal(out[i], map_reference(real_stack(hc[i]), stacked(yc[i])))
+        np.testing.assert_array_equal(out[i, 0],
+                                      map_reference(real_stack(hc[i]), stacked(yc[i, 0])))
 
 
 def test_map_oracle_size_guard(rng):
     hc = draw_channels(rng, 16, 9)
-    with pytest.raises(ValueError):
-        map_oracle(matched_filter(hc, np.zeros(16), 1.0))
+    with pytest.raises(ValueError, match="2K <= 16"):
+        map_oracle(matched_filter(hc, np.zeros((1, 16)), 1.0))
 
 
 def test_map_oracle_noiseless_exact(rng):
     hc = draw_channels(rng, 8, 4)
-    x = modulate(rng.integers(0, 2, 8))
+    x = modulate(rng.integers(0, 2, (1, 8)))
     np.testing.assert_array_equal(map_oracle(observe(rng, hc, x, 1e-12)[0]), x)
 
 

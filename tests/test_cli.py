@@ -124,7 +124,16 @@ def test_convergence_output(tmp_path):
     rc = run(tmp_path, "convergence", "--n", "16", "--k", "8", "--trials", "10",
              "--seed", "5")
     assert rc == 0
-    assert (tmp_path / "convergence.csv").exists()
+    lines = (tmp_path / "convergence.csv").read_text().strip().split("\n")
+    assert lines[0] == ("trial,iterations_to_tol,anti_dominance_fraction,"
+                        "diagonal_dominance_fraction")
+    # one row per trial, each of four scalar cells
+    assert len(lines) == 11
+    for t, row in enumerate(lines[1:]):
+        trial, iters, anti, diag = row.split(",")
+        assert int(trial) == t
+        assert int(iters) == -1 or 1 <= int(iters) <= MpdConfig().iterations
+        assert 0.0 <= float(anti) <= 1.0 and 0.0 <= float(diag) <= 1.0
 
 
 def test_llr_mse_output(tmp_path):

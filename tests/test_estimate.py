@@ -93,17 +93,18 @@ def test_gram_estimate_bias_correction(rng):
 def test_z_estimate_noiseless_exact(rng):
     hc = draw_channels(rng, 32, 8)
     H = real_stack(hc)
-    x = modulate(rng.integers(0, 2, 16))
-    y = H @ x
+    x = modulate(rng.integers(0, 2, (1, 16)))
+    y = x @ H.T
     pilots = receive_pilots(rng, hc, 1e-14, pilot_amplitude(8))
-    np.testing.assert_allclose(estimate_z(pilots, y[:32] + 1j * y[32:]), H.T @ y / 32, atol=1e-5)
+    np.testing.assert_allclose(estimate_z(pilots, y[:, :32] + 1j * y[:, 32:]), y @ H / 32,
+                               atol=1e-5)
 
 
 def test_observation_assembly_matches_perfect_csi_in_noiseless_limit(rng):
     hc = draw_channels(rng, 32, 8)
-    x = modulate(rng.integers(0, 2, 16))
+    x = modulate(rng.integers(0, 2, (1, 16)))
     nv = 1e-12
-    yc = hc @ (x[:8] + 1j * x[8:])
+    yc = (x[:, :8] + 1j * x[:, 8:]) @ hc.T
     obs_est = gram_observation_from_pilots(receive_pilots(rng, hc, nv, pilot_amplitude(8)), yc)
     obs_true = matched_filter(hc, yc, nv)
     np.testing.assert_allclose(obs_est.G, obs_true.G, atol=1e-4)
@@ -114,14 +115,22 @@ def test_observation_assembly_matches_perfect_csi_in_noiseless_limit(rng):
 def test_estimate_batched_shapes(rng):
     nv = noise_variance(10.0, 4)
     pilots = receive_pilots(rng, draw_channels(rng, 8, 4, 3), nv, pilot_amplitude(4))
-    ys = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    ys = rng.standard_normal((3, 1, 8)) + 1j * rng.standard_normal((3, 1, 8))
     gb = estimate_gram(pilots)
     zb = estimate_z(pilots, ys)
     assert gb.shape == (3, 4, 4)
-    assert zb.shape == (3, 8)
+    assert zb.shape == (3, 1, 8)
     single = PilotObservation(Y_p=pilots.Y_p[1], amplitude=pilot_amplitude(4), noise_var=nv)
     np.testing.assert_allclose(gb[1], estimate_gram(single), atol=1e-12)
     np.testing.assert_allclose(zb[1], estimate_z(single, ys[1]), atol=1e-12)
+
+
+def test_estimate_z_needs_a_use_axis_on_the_pilot_blocks_leading_axes(rng):
+    pilots = receive_pilots(rng, draw_channels(rng, 8, 4, 3), 0.1, pilot_amplitude(4))
+    for shape in ((3, 8), (8,), (2, 1, 8), (3, 1, 7)):
+        with pytest.raises(ValueError, match=r"\(\.\.\., U, N\)"):
+            estimate_z(pilots, np.zeros(shape))
+    assert estimate_z(pilots, np.zeros((3, 5, 8))).shape == (3, 5, 8)
 
 
 def test_mmse_channel_estimate_shrinks(rng):

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -150,6 +152,12 @@ def _stub_batch(cfg, point_idx, batch_idx, n_trials):
     return n_trials, batch_idx + 1, n_trials
 
 
+def accumulate(cfg, batch_fn, workers):
+    """One point of `_accumulate` on the executor a sweep would give it."""
+    with ProcessPoolExecutor(workers) if workers > 1 else harness._InThisThread() as pool:
+        return _accumulate(cfg, 0, batch_fn, pool, workers)
+
+
 def test_one_loop_stops_after_the_batch_that_reaches_the_target():
     # errors 1, 3, 6, 10, ...: a target of 6 fires on batch 2 of 10
     cfg = tiny_cfg(target_errors=6, max_trials=95, batch_size=10)
@@ -161,15 +169,51 @@ def test_one_loop_stops_after_the_batch_that_reaches_the_target():
         return _stub_batch(*args)
 
     threads = threading.active_count()
-    totals = _accumulate(cfg, 0, batch, workers=1)
+    totals = accumulate(cfg, batch, workers=1)
     assert totals == (30, 6, 30)
     # one worker: in this thread, with no thread started, and no batch after batch 2
     assert ran == [(0, True, threads), (1, True, threads), (2, True, threads)]
-    assert _accumulate(cfg, 0, _stub_batch, workers=2) == totals
+    assert accumulate(cfg, _stub_batch, workers=2) == totals
     # a target never reached spends the budget, the last batch cut to fit
     budget = dataclasses.replace(cfg, target_errors=10 ** 6)
-    assert _accumulate(budget, 0, _stub_batch, workers=1) == (95, 55, 95)
-    assert _accumulate(budget, 0, _stub_batch, workers=2) == (95, 55, 95)
+    assert accumulate(budget, _stub_batch, workers=1) == (95, 55, 95)
+    assert accumulate(budget, _stub_batch, workers=2) == (95, 55, 95)
+
+
+def test_a_sweep_builds_one_process_pool(monkeypatch):
+    built = []
+
+    class CountedPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    cfg = tiny_cfg(snr_db=(2.0, 6.0, 10.0), max_trials=200)
+    curve = run_uncoded_sweep(cfg, workers=2)
+    assert len(built) == 1 and built[0]["max_workers"] == 2
+    assert curve.points == run_uncoded_sweep(cfg, workers=1).points
+
+
+def test_a_failing_batch_cancels_the_queued_ones(monkeypatch):
+    # a thread pool of two stands in for the process pool: batches 0 and 1
+    # start, 2 and 3 wait; batch 0 raises, a thread takes batch 2, and batch 3
+    # is cancelled before a thread is free for it
+    started, lock = [], threading.Lock()
+
+    def batch(code, cfg, point_idx, batch_idx, n_trials):
+        with lock:
+            started.append(batch_idx)
+        if batch_idx == 0:
+            raise RuntimeError("batch 0 failed")
+        time.sleep(0.3)
+        return n_trials, 0, n_trials
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(harness, "_batch", batch)
+    with pytest.raises(RuntimeError, match="batch 0 failed"):
+        run_uncoded_sweep(tiny_cfg(max_trials=400, batch_size=50), workers=2)
+    assert 0 in started and 3 not in started
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
@@ -335,7 +379,7 @@ def test_batch_draw_order(monkeypatch, receiver):
         info = ref.integers(0, 2, size=(3, k, code.k)).astype(np.uint8)
         x = bits_to_symbols(encode(code, info), k)
     hc = draw_channels(ref, n, k, 3)
-    pilots = receive_pilots(ref, hc[:, None], nv, pilot_amplitude(k))
+    pilots = receive_pilots(ref, hc, nv, pilot_amplitude(k))
     if coded:
         _, yc = transmit(ref, hc, nv, x)
         res = joint_detect_decode(gram_observation_from_pilots(pilots, yc), code,

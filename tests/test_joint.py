@@ -38,7 +38,7 @@ def coded_observation(code, n, k, snr_db, rng, hc=None):
     hc = draw_channels(rng, n, k) if hc is None else hc
     nv = noise_variance(snr_db, k)
     _, yc = transmit(rng, hc, nv, bits_to_symbols(words, k))  # (U, N)
-    obs = matched_filter(hc[None], yc, nv)  # shared G, one z row per use
+    obs = matched_filter(hc, yc, nv)  # one G, one z row per use
     return obs, info, words
 
 

@@ -37,12 +37,13 @@ def complex_halves(v):
 
 
 def observation(n, k, snr_db, rng, x=None, dtype=np.complex64):
+    """One channel and one use: x (1, 2K) and yc (1, N)."""
     hc = draw_channels(rng, n, k).astype(dtype)
     if x is None:
-        x = modulate(rng.integers(0, 2, 2 * k))
+        x = modulate(rng.integers(0, 2, (1, 2 * k)))
     nv = noise_variance(snr_db, k)
-    w = rng.normal(0.0, np.sqrt(nv), 2 * n)
-    yc = hc @ complex_halves(x) + complex_halves(w)
+    w = rng.normal(0.0, np.sqrt(nv), (1, 2 * n))
+    yc = complex_halves(x) @ hc.T + complex_halves(w)
     return matched_filter(hc, yc, nv), hc, x, yc, nv
 
 
@@ -52,19 +53,19 @@ def test_matched_filter_fields(rng):
     np.testing.assert_allclose(obs.G, obs.G.conj().T)
     # the complex front end equals the real-stacked one
     H = real_stack(hc)
-    y = np.concatenate([yc.real, yc.imag])
+    y = np.concatenate([yc.real, yc.imag], axis=-1)
     np.testing.assert_allclose(obs.J, H.T @ H / 32, atol=1e-12)
-    np.testing.assert_allclose(obs.z, H.T @ y / 32, atol=1e-12)
+    np.testing.assert_allclose(obs.z, y @ H / 32, atol=1e-12)
     assert obs.sigma_v_sq == pytest.approx(nv / 32)
 
 
 def test_matched_filter_batched(rng):
     hcs = draw_channels(rng, 16, 8, 5)
-    ycs = complex_halves(rng.standard_normal((5, 32)))
+    ycs = complex_halves(rng.standard_normal((5, 1, 32)))
     obs = matched_filter(hcs, ycs, 0.3)
     assert obs.G.shape == (5, 8, 8)
     assert obs.J.shape == (5, 16, 16)
-    assert obs.z.shape == (5, 16)
+    assert obs.z.shape == (5, 1, 16)
     single = matched_filter(hcs[2], ycs[2], 0.3)
     np.testing.assert_allclose(obs.G[2], single.G)
     np.testing.assert_allclose(obs.z[2], single.z)
@@ -104,7 +105,7 @@ def test_permutation_equivariance(seed):
     b = mpd_detect(obs_p, cfg).p
     # the float32 engine sums in permuted order, so the beliefs agree to a few
     # ulps rather than exactly: over seeds 0-1,999 the largest misfit was 3.0e-8
-    np.testing.assert_allclose(b, a[np.concatenate([perm, perm + 4])], rtol=0.0, atol=1e-7)
+    np.testing.assert_allclose(b, a[..., np.concatenate([perm, perm + 4])], rtol=0.0, atol=1e-7)
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -118,56 +119,58 @@ def test_sign_flip_symmetry(seed):
     cfg = MpdConfig(iterations=6)
     a = mpd_detect(obs, cfg).p
     b = mpd_detect(obs_f, cfg).p
-    re, im = a[:4], a[4:]
+    re, im = a[0, :4], a[0, 4:]
     want_re = np.choose(turn, [re, im, 1.0 - re, 1.0 - im])
     want_im = np.choose(turn, [im, 1.0 - re, 1.0 - im, re])
-    np.testing.assert_allclose(b, np.concatenate([want_re, want_im]), **RUN_P_TOL)
+    np.testing.assert_allclose(b[0], np.concatenate([want_re, want_im]), **RUN_P_TOL)
 
 
 def test_uniform_beliefs_shape(rng):
     obs, *_ = observation(8, 4, 8.0, rng)
     engine = MpdEngine(obs)
     p = engine.uniform_beliefs()
-    assert p.shape == (8,)
+    assert p.shape == (1, 8)
     np.testing.assert_allclose(p, 0.5)
 
 
 def test_engine_batched_uses(rng):
-    # one Gram matrix shared by several filtered observations
+    # one Gram matrix copied to several channels, one filtered use each
     hc = draw_channels(rng, 16, 4)
     nv = noise_variance(8.0, 4)
     xs = modulate(rng.integers(0, 2, (3, 8)))
     ys = np.stack([hc @ complex_halves(x) + complex_halves(rng.normal(0, np.sqrt(nv), 32))
                    for x in xs])
-    obs_all = matched_filter(np.broadcast_to(hc, (3, 16, 4)), ys, nv)
+    obs_all = matched_filter(np.broadcast_to(hc, (3, 16, 4)), ys.reshape(3, 1, 16), nv)
     state = mpd_detect(obs_all, MpdConfig(iterations=6))
     for u in range(3):
-        single = matched_filter(hc, ys[u], nv)
+        single = matched_filter(hc, ys[u:u + 1], nv)
         ref = mpd_detect(single, MpdConfig(iterations=6))
         np.testing.assert_allclose(state.p[u], ref.p, atol=1e-12)
 
 
 def test_engine_shared_gram_matches_tiled(rng):
-    # G (B, 1, K, K) shared by U uses takes one matrix product per Gram; the
-    # same Gram tiled per use (B, U, K, K) takes one two-row product per use
+    # G (B, K, K) shared by U uses takes one matrix product per Gram; the
+    # same Gram tiled per use (B, U, K, K), z (B, U, 1, 2K), takes one
+    # two-row product per use
     b, u, n, k = 3, 10, 16, 8
     hc = draw_channels(rng, n, k, (b,))
     nv = noise_variance(6.0, k)
     x = modulate(rng.integers(0, 2, (b, u, 2 * k)))
     w = rng.normal(0.0, np.sqrt(nv), (b, u, 2 * n))
     yc = complex_halves(x) @ np.swapaxes(hc, -1, -2) + complex_halves(w)
-    shared = matched_filter(hc[:, None], yc, nv)
-    assert shared.G.shape == (b, 1, k, k)
-    tiled = GramObservation(G=np.repeat(shared.G, u, axis=1), z=shared.z,
-                            sigma_v_sq=shared.sigma_v_sq)
+    shared = matched_filter(hc, yc, nv)
+    assert shared.G.shape == (b, k, k)
+    tiled = GramObservation(G=np.repeat(shared.G[:, None], u, axis=1),
+                            z=shared.z[..., None, :], sigma_v_sq=shared.sigma_v_sq)
     engine = MpdEngine(shared)
     p = rng.uniform(0.05, 0.95, shared.z.shape).astype(np.float32)
-    np.testing.assert_allclose(engine.llr(p), MpdEngine(tiled).llr(p), **STEP_TOL)
+    per_use_llr = MpdEngine(tiled).llr(p[..., None, :]).reshape(p.shape)
+    np.testing.assert_allclose(engine.llr(p), per_use_llr, **STEP_TOL)
     cfg = MpdConfig(iterations=10)
     a, c = mpd_detect(shared, cfg), mpd_detect(tiled, cfg)
-    np.testing.assert_allclose(a.llr, c.llr, **RUN_LLR_TOL)
-    np.testing.assert_allclose(a.p, c.p, **RUN_P_TOL)
-    np.testing.assert_array_equal(hard_decision(a), hard_decision(c))
+    np.testing.assert_allclose(a.llr, c.llr.reshape(a.llr.shape), **RUN_LLR_TOL)
+    np.testing.assert_allclose(a.p, c.p.reshape(a.p.shape), **RUN_P_TOL)
+    np.testing.assert_array_equal(hard_decision(a), hard_decision(c).reshape(a.p.shape))
     # shared, the engine keeps the zero-diagonal J^T and its square once per Gram;
     # per use, V + W hold 2 K x 2K reals per Gram; every real is a 4-byte float32
     per_use = MpdEngine(tiled)
@@ -181,32 +184,32 @@ def test_engine_shared_gram_matches_tiled(rng):
 @pytest.mark.parametrize("aitken", [False, True])
 def test_batch_mates_do_not_change_a_result(rng, shared, aitken):
     # a trial detected inside a batch gets exactly the beliefs and LLRs it
-    # gets alone: the loop runs a fixed step count with no batch-wide test
+    # gets alone, unbatched or as a batch of one: the loop runs a fixed step
+    # count with no batch-wide test, and the step follows the use count only
     b, u, n, k = 6, 5, 16, 8
-    use = (u,) if shared else ()
+    use = u if shared else 1
     hc = draw_channels(rng, n, k, b)
     nv = noise_variance(4.0, k)
-    x = modulate(rng.integers(0, 2, (b,) + use + (2 * k,)))
-    w = rng.normal(0.0, np.sqrt(nv), (b,) + use + (2 * n,))
-    h = hc[:, None] if shared else hc
-    yc = (h @ complex_halves(x)[..., None])[..., 0] + complex_halves(w)
-    obs = matched_filter(h, yc, nv)
+    x = modulate(rng.integers(0, 2, (b, use, 2 * k)))
+    w = rng.normal(0.0, np.sqrt(nv), (b, use, 2 * n))
+    yc = (hc[:, None] @ complex_halves(x)[..., None])[..., 0] + complex_halves(w)
+    obs = matched_filter(hc, yc, nv)
     assert MpdEngine(obs).shared == shared
     cfg = MpdConfig(iterations=20, aitken=aitken)
     batch = mpd_detect(obs, cfg)
     for i in range(b):
-        alone = mpd_detect(GramObservation(G=obs.G[i], z=obs.z[i],
-                                           sigma_v_sq=obs.sigma_v_sq), cfg)
-        assert np.array_equal(batch.p[i], alone.p)
-        assert np.array_equal(batch.llr[i], alone.llr)
+        for rows in (i, slice(i, i + 1)):
+            alone = mpd_detect(GramObservation(G=obs.G[rows], z=obs.z[rows],
+                                               sigma_v_sq=obs.sigma_v_sq), cfg)
+            assert np.array_equal(batch.p[rows], alone.p)
+            assert np.array_equal(batch.llr[rows], alone.llr)
 
 
 def dense_reference_llr(obs, p, clip=50.0):
     """The detector's LLR from the full real-stacked Gram J, as J s per use,
-    in float64; a Gram shared by a use axis (G (..., 1, K, K) or (K, K))
-    broadcasts over it."""
+    in float64; each Gram broadcasts over the use axis of p."""
     p = np.asarray(p, dtype=float)
-    off = real_stack(obs.G)
+    off = real_stack(obs.G)[..., None, :, :]
     d = np.diagonal(off, axis1=-2, axis2=-1).copy()
     idx = np.arange(off.shape[-1])
     off[..., idx, idx] = 0.0
@@ -220,9 +223,9 @@ def test_engine_per_use_matches_dense_reference(rng, batch):
     n, k = 16, 8
     hc = draw_channels(rng, n, k, batch)
     nv = noise_variance(6.0, k)
-    x = modulate(rng.integers(0, 2, batch + (2 * k,)))
-    w = rng.normal(0.0, np.sqrt(nv), batch + (2 * n,))
-    yc = (hc @ complex_halves(x)[..., None])[..., 0] + complex_halves(w)
+    x = modulate(rng.integers(0, 2, batch + (1, 2 * k)))
+    w = rng.normal(0.0, np.sqrt(nv), batch + (1, 2 * n))
+    yc = complex_halves(x) @ np.swapaxes(hc, -1, -2) + complex_halves(w)
     obs = matched_filter(hc, yc, nv)
     engine = MpdEngine(obs)
     assert engine.v.shape == batch + (k, 2 * k)
@@ -245,13 +248,13 @@ def test_engine_shared_gram_matches_dense_reference(rng, hermitian):
     b, u, n, k = 3, 7, 16, 8
     hc = draw_channels(rng, n, k, b)
     yc = complex_halves(rng.standard_normal((b, u, 2 * n)))
-    obs = matched_filter(hc[:, None], yc, noise_variance(6.0, k))
+    obs = matched_filter(hc, yc, noise_variance(6.0, k))
     if not hermitian:
-        skew = complex_halves(rng.standard_normal((b, 1, k, 2 * k))) / np.sqrt(n)
+        skew = complex_halves(rng.standard_normal((b, k, 2 * k))) / np.sqrt(n)
         obs = GramObservation(G=obs.G + skew, z=obs.z, sigma_v_sq=obs.sigma_v_sq)
         assert not np.allclose(obs.G, np.conj(np.swapaxes(obs.G, -1, -2)), atol=0.1)
     engine = MpdEngine(obs)
-    assert engine.shared and engine.v.shape == (b, 1, 2 * k, 2 * k)
+    assert engine.shared and engine.v.shape == (b, 2 * k, 2 * k)
     p = rng.uniform(0.05, 0.95, obs.z.shape).astype(np.float32)
     np.testing.assert_allclose(engine.llr(p), dense_reference_llr(obs, p), **STEP_TOL)
 
@@ -262,11 +265,10 @@ def test_engine_runs_in_float32(rng, shared):
     # observation (a complex128 channel's), through Aitken extrapolation and
     # a float64 prior
     b, u, n, k = 3, 6, 16, 8
-    use = (u,) if shared else ()
+    use = u if shared else 1
     hc = draw_channels(rng, n, k, b).astype(complex)
-    h = hc[:, None] if shared else hc
-    yc = complex_halves(rng.standard_normal((b,) + use + (2 * n,)))
-    obs = matched_filter(h, yc, 0.5)
+    yc = complex_halves(rng.standard_normal((b, use, 2 * n)))
+    obs = matched_filter(hc, yc, 0.5)
     assert obs.G.dtype == complex and obs.z.dtype == float
     engine = MpdEngine(obs)
     assert engine.shared == shared
@@ -341,7 +343,7 @@ def test_multi_start_fixed_point(rng):
     cfg = MpdConfig(iterations=30)
     base = mpd_detect(obs, cfg)
     for _ in range(3):
-        init = rng.random(32)
+        init = rng.random((1, 32))
         other = MpdEngine(obs).run(cfg, p=init)
         np.testing.assert_array_equal(hard_decision(base), hard_decision(other))
 
@@ -384,6 +386,22 @@ def test_config_validation():
 
 def test_gram_observation_validation():
     with pytest.raises(ValueError):
-        GramObservation(G=np.zeros((4, 5)), z=np.zeros(8), sigma_v_sq=0.1)
+        GramObservation(G=np.zeros((4, 5)), z=np.zeros((1, 8)), sigma_v_sq=0.1)
     with pytest.raises(ValueError):
-        GramObservation(G=np.zeros((4, 4)), z=np.zeros(4), sigma_v_sq=0.1)
+        GramObservation(G=np.zeros((4, 4)), z=np.zeros((1, 4)), sigma_v_sq=0.1)
+    # z needs a use axis, and G's leading axes
+    for G, z in (((4, 4), (8,)), ((3, 4, 4), (3, 8)), ((3, 4, 4), (2, 5, 8)),
+                 ((3, 4, 4), (1, 5, 8)), ((3, 4, 4), (3, 1, 5, 8))):
+        with pytest.raises(ValueError, match="use axis|leading axes"):
+            GramObservation(G=np.eye(4) * np.ones(G), z=np.zeros(z), sigma_v_sq=0.1)
+    GramObservation(G=np.eye(4) * np.ones((3, 4, 4)), z=np.zeros((3, 5, 8)), sigma_v_sq=0.1)
+
+
+def test_matched_filter_needs_a_use_axis_on_the_channels_leading_axes(rng):
+    hc = draw_channels(rng, 16, 8, 5)
+    # the old per-use call would pair every channel with every received vector
+    for shape in ((5, 16), (16,), (4, 1, 16), (1, 1, 16), (5, 1, 15), (5, 2, 1, 16)):
+        with pytest.raises(ValueError, match=r"\(\.\.\., U, N\)"):
+            matched_filter(hc, np.zeros(shape), 0.3)
+    assert matched_filter(hc, np.zeros((5, 3, 16)), 0.3).z.shape == (5, 3, 16)
+    assert matched_filter(hc[0], np.zeros((3, 16)), 0.3).z.shape == (3, 16)

@@ -44,16 +44,16 @@ def test_front_end_keeps_the_channel_precision(rng, ctype):
     x, yc = transmit(rng, hc, nv, uses=u)
     assert x.dtype == np.float64 and yc.dtype == ctype
     assert gram(hc).dtype == ctype
-    for obs in (matched_filter(hc[:, None], yc, nv), matched_filter(hc, yc[:, 0], nv)):
+    for obs in (matched_filter(hc, yc, nv), matched_filter(hc, yc[:, :1], nv)):
         assert obs.G.dtype == ctype and obs.z.dtype == real
         x_hat, s = mmse_detect(obs)
         assert x_hat.dtype == s.dtype == real
         assert MpdEngine(obs).run(MpdConfig(iterations=3)).llr.dtype == np.float32
-    assert map_oracle(matched_filter(hc[..., :2], yc[:, 0], nv)).dtype == real
+    assert map_oracle(matched_filter(hc[..., :2], yc, nv)).dtype == real
     # an observation takes the precision of its Gram
-    obs = GramObservation(G=gram(hc), z=np.zeros((b, 2 * k)), sigma_v_sq=np.float64(0.5))
+    obs = GramObservation(G=gram(hc), z=np.zeros((b, 1, 2 * k)), sigma_v_sq=np.float64(0.5))
     assert obs.z.dtype == real and mmse_detect(obs)[1].dtype == real
-    pilots = receive_pilots(rng, hc[:, None], nv, pilot_amplitude(k))
+    pilots = receive_pilots(rng, hc, nv, pilot_amplitude(k))
     assert pilots.Y_p.dtype == ctype
     assert estimate_gram(pilots).dtype == ctype
     assert estimate_z(pilots, yc).dtype == real
@@ -74,13 +74,13 @@ def test_complex64_front_end_matches_complex128(rng):
     r32, r64 = np.random.default_rng(seed), np.random.default_rng(seed)
     _, y32 = transmit(r32, h32, nv, uses=u)
     _, y64 = transmit(r64, h64, nv, uses=u)
-    o32 = matched_filter(h32[:, None], y32, nv)
-    o64 = matched_filter(h64[:, None], y64, nv)
+    o32 = matched_filter(h32, y32, nv)
+    o64 = matched_filter(h64, y64, nv)
     np.testing.assert_allclose(o32.G, o64.G, **FRONT_TOL)
     np.testing.assert_allclose(o32.z, o64.z, **FRONT_TOL)
     # the pilot block draws the same normals whatever the channel's precision
-    p32 = receive_pilots(r32, h32[:, None], nv, pilot_amplitude(k))
-    p64 = receive_pilots(r64, h64[:, None], nv, pilot_amplitude(k))
+    p32 = receive_pilots(r32, h32, nv, pilot_amplitude(k))
+    p64 = receive_pilots(r64, h64, nv, pilot_amplitude(k))
     np.testing.assert_allclose(p32.Y_p, p64.Y_p, **FRONT_TOL)
     np.testing.assert_allclose(estimate_gram(p32), estimate_gram(p64), **FRONT_TOL)
     np.testing.assert_allclose(estimate_z(p32, y32), estimate_z(p64, y64), **FRONT_TOL)
