@@ -12,18 +12,37 @@ __all__ = ["mmse_detect", "map_oracle"]
 def mmse_detect(obs: GramObservation):
     """Regularized linear estimate from the matched-filter statistics.
 
-    Solves (G + sigma_v^2 I) s_c = z_c, one complex K x K LU per Gram with
-    the uses of z as right-hand-side columns, which is
+    Solves (G + sigma_v^2 I) s_c = z_c, which is
     (H^T H + sigma_n^2 I) s = H^T y of the real-stacked channel scaled by
-    1/N. Returns real (x_hat, s) with s = [Re s_c, Im s_c] (..., U, 2K) and
+    1/N, by one complex K x K Cholesky per Gram (LAPACK `posv` on the lower
+    triangle) with the uses of z as right-hand-side columns. G must be
+    exactly Hermitian, as `model.gram` and `estimate.estimate_gram` produce
+    it, and G + sigma_v^2 I positive definite, as it is for any Gram from
+    `model.gram` but often is not for the bias-corrected `estimate_gram` at
+    low SNR; `np.linalg.LinAlgError` names the first Gram whose system is
+    not. Returns real (x_hat, s) with s = [Re s_c, Im s_c] (..., U, 2K) and
     x_hat its signs, in G's precision.
     """
+    from scipy.linalg.lapack import get_lapack_funcs  # off chemp's import path
+
     G = obs.G
     k = G.shape[-1]
-    A = G + obs.sigma_v_sq * np.eye(k, dtype=G.dtype)
+    posv, = get_lapack_funcs(("posv",), (G,))
+    reg = obs.sigma_v_sq * np.eye(k, dtype=G.dtype)
+    grams = G.reshape(-1, k, k)
     zc = obs.z[..., :k] + 1j * obs.z[..., k:]
-    sc = np.swapaxes(np.linalg.solve(A, np.swapaxes(zc, -1, -2)), -1, -2)
-    s = np.concatenate([sc.real, sc.imag], axis=-1)
+    # each Gram's uses as the columns of an F-contiguous view of zc, which
+    # posv overwrites with the solution
+    cols = np.swapaxes(zc.reshape(grams.shape[:1] + zc.shape[-2:]), -1, -2)
+    a = np.empty((k, k), G.dtype, order="F")
+    for b, g in enumerate(grams):
+        np.add(g, reg, out=a)
+        # positional flags lower, overwrite_a, overwrite_b: keywords cost a
+        # third of the call at small K
+        if posv(a, cols[b], 1, 1, 1)[2] > 0:
+            at = tuple(map(int, np.unravel_index(b, G.shape[:-2])))
+            raise np.linalg.LinAlgError(f"G + sigma_v^2 I is not positive definite at Gram {at}")
+    s = np.concatenate([zc.real, zc.imag], axis=-1)
     return np.where(s >= 0, 1.0, -1.0).astype(s.dtype), s
 
 

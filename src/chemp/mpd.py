@@ -146,10 +146,6 @@ def _filtered(a: np.ndarray, yc: np.ndarray, scale) -> np.ndarray:
     return np.concatenate([zc.real, zc.imag], axis=-1)
 
 
-def _logistic(L: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-L))
-
-
 class MpdEngine:
     """Precomputed update kernel for one observation (or batch of them).
 
@@ -203,28 +199,45 @@ class MpdEngine:
         return np.full(self.z.shape, 0.5, DTYPE)
 
     def llr(self, p: np.ndarray) -> np.ndarray:
-        """Extrinsic LLR of every symbol given the others' beliefs, in `DTYPE`."""
+        """Extrinsic LLR of every symbol given the others' beliefs, in `DTYPE`:
+        (2 diag) (z - mu) / var, clipped."""
         p = np.asarray(p, dtype=DTYPE)
-        s = 2.0 * p - 1.0
-        q = 4.0 * p * (1.0 - p)
+        # q = (4 p) (1 - p), then s = 2 p - 1 in the buffer of 1 - p
+        q = np.multiply(4.0, p)
+        s = np.subtract(1.0, p)
+        q *= s
+        np.multiply(2.0, p, out=s)
+        s -= 1.0
         if self.shared:
             mu = s @ self.v
-            var = q @ self.w + self.sigma_v_sq
+            var = q @ self.w
         else:
             mu = _stacked_product(self.v, s, -1.0)
-            var = _stacked_product(self.w, q, 1.0) + self.sigma_v_sq
-        L = 2.0 * self.diag * (self.z - mu) / var
-        return np.clip(L, -LLR_CLIP, LLR_CLIP)
+            var = _stacked_product(self.w, q, 1.0)
+        var += self.sigma_v_sq
+        L = np.subtract(self.z, mu, out=mu)
+        L *= 2.0 * self.diag
+        L /= var
+        return np.clip(L, -LLR_CLIP, LLR_CLIP, out=L)
 
     def step(self, p: np.ndarray, damping: float,
              extrinsic_llr: np.ndarray | None = None):
-        """One damped update in `DTYPE`. Returns (L, new_p); L excludes
-        extrinsic_llr."""
+        """One damped update in `DTYPE`: (1 - damping) / (1 + exp(-total))
+        + damping p, total = L plus extrinsic_llr, clipped. Returns
+        (L, new_p); L excludes extrinsic_llr."""
         p = np.asarray(p, dtype=DTYPE)
         L = self.llr(p)
-        total = L if extrinsic_llr is None else np.clip(
-            L + np.asarray(extrinsic_llr, dtype=DTYPE), -LLR_CLIP, LLR_CLIP)
-        p_new = (1.0 - damping) * _logistic(total) + damping * p
+        if extrinsic_llr is None:
+            p_new = np.negative(L)
+        else:
+            p_new = np.add(L, np.asarray(extrinsic_llr, dtype=DTYPE))
+            np.clip(p_new, -LLR_CLIP, LLR_CLIP, out=p_new)
+            np.negative(p_new, out=p_new)
+        np.exp(p_new, out=p_new)
+        p_new += 1.0
+        np.divide(1.0, p_new, out=p_new)
+        p_new *= 1.0 - damping
+        p_new += damping * p
         return L, p_new
 
     def iterate(self, cfg: MpdConfig, p: np.ndarray | None = None,

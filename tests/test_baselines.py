@@ -84,9 +84,10 @@ def test_mmse_shared_gram_matches_real_stacked_solve(rng):
     np.testing.assert_array_equal(xhat, np.where(ref >= 0, 1.0, -1.0))
 
 
-@pytest.mark.parametrize("lead", [(3,), ()])
+@pytest.mark.parametrize("lead", [(3,), (), (2, 3)])
 def test_mmse_shared_gram_matches_broadcast_solve(rng, lead):
-    # one LU per shared Gram with the uses as columns against one solve per use
+    # one Cholesky per shared Gram with the uses as columns against one LU
+    # solve per use
     k, uses = 16, 40
     hc = draw_channels(rng, 32, k, lead).astype(complex)
     nv = noise_variance(4.0, k)
@@ -109,7 +110,22 @@ def test_mmse_batched_matches_loop(rng):
     for i in range(6):
         xi, si = mmse_detect(GramObservation(G=obs.G[i], z=obs.z[i], sigma_v_sq=obs.sigma_v_sq))
         np.testing.assert_array_equal(xb[i], xi)
-        np.testing.assert_allclose(sb[i], si, atol=1e-12)
+        np.testing.assert_array_equal(sb[i], si)
+
+
+def test_mmse_indefinite_system_names_its_gram(rng):
+    # a Hermitian G with one eigenvalue below -sigma_v^2 among valid Grams
+    k, nv = 4, 0.5
+    hc = draw_channels(rng, 16, k, (2, 3)).astype(complex)
+    obs, _ = observe(rng, hc, modulate(rng.integers(0, 2, (2, 3, 2, 2 * k))), nv)
+    q = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+    bad = (q * np.array([1.0, 0.8, 0.5, -1.5 * obs.sigma_v_sq])) @ q.conj().T
+    G = obs.G.copy()
+    G[1, 2] = (bad + bad.conj().T) / 2
+    assert np.linalg.eigvalsh(G[1, 2] + obs.sigma_v_sq * np.eye(k)).min() < 0
+    mmse_detect(GramObservation(G=obs.G, z=obs.z, sigma_v_sq=obs.sigma_v_sq))
+    with pytest.raises(np.linalg.LinAlgError, match=r"Gram \(1, 2\)"):
+        mmse_detect(GramObservation(G=G, z=obs.z, sigma_v_sq=obs.sigma_v_sq))
 
 
 def test_mmse_regularization_shrinks_estimate(rng):
@@ -149,10 +165,11 @@ def test_map_oracle_noiseless_exact(rng):
     np.testing.assert_array_equal(map_oracle(observe(rng, hc, x, 1e-12)[0]), x)
 
 
-def test_import_loads_no_scipy_special_or_integrate():
-    # chemp imports neither: the Marchenko-Pastur CDF is in closed form
-    code = ("import sys, chemp; "
-            "print([m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules])")
+def test_import_loads_no_scipy_linalg_special_or_integrate():
+    # chemp imports none of them at import time: the Marchenko-Pastur CDF is
+    # in closed form, and mmse_detect imports scipy.linalg when it runs
+    code = ("import sys, chemp; print([m for m in "
+            "('scipy.linalg', 'scipy.special', 'scipy.integrate') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(chemp.__file__))  # this chemp, not an installed one
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
