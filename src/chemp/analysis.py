@@ -1,11 +1,12 @@
 """Convergence diagnostics and the estimation-error propagation bound.
 
 The per-row anti-dominance inequality J_ii - sum_{j!=i}|J_ij| < sum_{j!=i}|J_ij|
-is reported alongside classical diagonal dominance; neither is necessary for
-the detector to converge, they are indicators. The LLR error analysis bounds
-the first-iteration mean squared LLR perturbation caused by pilot estimation
-noise, with the pilot amplitude normalized to 1 and the noise parameter read
-as the complex-domain variance (twice the per-real-component variance).
+of the real-stacked Gram is reported, read from G, alongside classical
+diagonal dominance; neither is necessary for the detector to converge, they
+are indicators. The LLR error analysis bounds the first-iteration mean
+squared LLR perturbation caused by pilot estimation noise, with the pilot
+amplitude normalized to 1 and the noise parameter read as the
+complex-domain variance (twice the per-real-component variance).
 """
 from __future__ import annotations
 
@@ -28,25 +29,26 @@ __all__ = [
 
 @dataclass
 class ConvergenceReport:
-    """Row-wise indicator outcomes on a Gram matrix."""
+    """Indicator outcomes on a Gram matrix, one per user (..., K)."""
 
     anti_dominance: np.ndarray
     diagonal_dominance: np.ndarray
 
 
-def convergence_condition(J: np.ndarray) -> ConvergenceReport:
-    """Evaluate both row-wise indicators on J.
+def convergence_condition(G: np.ndarray) -> ConvergenceReport:
+    """Both row-wise indicators, in float64, of the real stacking J of square
+    complex G (..., K, K), Hermitian or not:
 
     anti_dominance row i:      J_ii - R_i < R_i with R_i = sum_{j!=i} |J_ij|
     diagonal_dominance row i:  J_ii > R_i
-    """
-    J = np.asarray(J, dtype=float)
-    d = np.diagonal(J, axis1=-2, axis2=-1)
-    r = np.sum(np.abs(J), axis=-1) - np.abs(d)
-    return ConvergenceReport(
-        anti_dominance=(d - r) < r,
-        diagonal_dominance=d > r,
-    )
+
+    Rows i and K + i of J share J_ii = Re G_ii and R_i = sum_{j!=i} |Re G_ij|
+    + sum_j |Im G_ij|, so one outcome per user stands for both."""
+    G = np.asarray(G)
+    d = np.diagonal(G.real, axis1=-2, axis2=-1).astype(float)
+    r = (np.sum(np.abs(G.real, dtype=float), axis=-1) - np.abs(d)
+         + np.sum(np.abs(G.imag, dtype=float), axis=-1))
+    return ConvergenceReport(anti_dominance=(d - r) < r, diagonal_dominance=d > r)
 
 
 def fixed_point_residuals(engine: MpdEngine, cfg: MpdConfig) -> np.ndarray:

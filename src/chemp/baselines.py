@@ -46,28 +46,24 @@ def mmse_detect(obs: GramObservation):
     return np.where(s >= 0, 1.0, -1.0).astype(s.dtype), s
 
 
-def _candidates(m: int) -> np.ndarray:
-    """All sign vectors of length m, as an (2^m, m) matrix."""
-    ints = np.arange(2 ** m)
-    bits = (ints[:, None] >> np.arange(m)[None, :]) & 1
-    return 1.0 - 2.0 * bits
-
-
 def map_oracle(obs: GramObservation) -> np.ndarray:
     """Exhaustive minimum-distance decision over all {-1,+1}^{2K} vectors.
 
     Minimizes c^T J c - 2 c^T z, which is ||y - H c||^2 / N of the
     real-stacked channel up to a constant; with equiprobable symbols the
     decision does not depend on the noise level. Requires 2K <= 16.
-    The quadratic term is formed once per Gram and broadcast over its uses,
+    The quadratic term c^T J c = c^T [Re(G c_c), Im(G c_c)], with c_c the
+    complex candidate, is formed once per Gram and broadcast over its uses,
     and the linear term of every use comes from one product; returns
-    (..., U, 2K) decisions, searched and decided in J's precision.
+    (..., U, 2K) decisions, searched and decided in G's real precision.
     """
-    J = obs.J
-    m = J.shape[-1]
-    if m > 16:
+    G = obs.G
+    k = G.shape[-1]
+    if k > 8:
         raise ValueError("exhaustive search limited to 2K <= 16 symbols")
-    cand = _candidates(m).astype(J.dtype)
-    quad = np.sum((cand @ J) * cand, axis=-1)
+    # all 4^K sign vectors, one per row
+    cand = (1 - 2 * ((np.arange(4 ** k)[:, None] >> np.arange(2 * k)) & 1)).astype(G.real.dtype)
+    gc = (cand[:, :k] + 1j * cand[:, k:]).astype(G.dtype) @ np.swapaxes(G, -1, -2)
+    quad = np.sum(cand[:, :k] * gc.real + cand[:, k:] * gc.imag, axis=-1)
     d = np.expand_dims(quad, -2) - 2.0 * np.tensordot(obs.z, cand, (-1, -1))
     return cand[np.argmin(d, axis=-1)]

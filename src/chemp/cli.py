@@ -27,7 +27,7 @@ from .harness import (CODED_RECEIVERS, UNCODED_RECEIVERS, BerCurve, SimConfig,
                       run_uncoded_sweep)
 from .joint import JointConfig, measure_exit_detector
 from .ldpc import build_code, write_alist
-from .model import draw_channels, gram, noise_variance, real_stack, transmit
+from .model import draw_channels, gram, noise_variance, transmit
 from .mpd import MpdConfig, MpdEngine, matched_filter
 
 # where each sweep departs from the SimConfig, MpdConfig and JointConfig defaults
@@ -203,9 +203,8 @@ def _cmd_hardening(args) -> int:
     rows = []
     for n in (int(v) for v in args.n_list):
         k = max(1, int(round(args.alpha * n)))
-        rep = hardening_report(real_stack(gram(draw_channels(rng, n, k, args.realizations))))
-        rows.append((n, k, *(float(np.mean(v)) for v in
-                             (rep.diag_mean, rep.diag_std, rep.offdiag_rms, rep.offdiag_max))))
+        rep = hardening_report(gram(draw_channels(rng, n, k, args.realizations)))
+        rows.append((n, k, *(float(np.mean(v)) for v in vars(rep).values())))
     _write_table(os.path.join(_out_dir(args), "hardening.csv"),
                  "n,k,diag_mean,diag_std,offdiag_rms,offdiag_max",
                  ((n, k, *(f"{v:.6e}" for v in stats)) for n, k, *stats in rows))
@@ -248,15 +247,13 @@ def _cmd_convergence(args) -> int:
     hc = draw_channels(rng, args.n, args.k, args.trials)
     _, yc = transmit(rng, hc, nv)
     obs = matched_filter(hc, yc, nv)
-    rep = convergence_condition(obs.J)
+    rep = convergence_condition(obs.G)
     hit = fixed_point_residuals(MpdEngine(obs), cfg).max(axis=-1) < args.tol  # (iters, trials)
     iters = np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, -1)
-    anti = rep.anti_dominance.mean(axis=-1)
-    diag = rep.diagonal_dominance.mean(axis=-1)
+    fracs = zip(iters, rep.anti_dominance.mean(axis=-1), rep.diagonal_dominance.mean(axis=-1))
     _write_table(os.path.join(_out_dir(args), "convergence.csv"),
                  "trial,iterations_to_tol,anti_dominance_fraction,diagonal_dominance_fraction",
-                 ((t, it, f"{a:.6f}", f"{d:.6f}") for t, (it, a, d) in
-                  enumerate(zip(iters, anti, diag))))
+                 ((t, it, f"{a:.6f}", f"{d:.6f}") for t, (it, a, d) in enumerate(fracs)))
     reached = iters[iters > 0]
     med = float(np.median(reached)) if reached.size else float("nan")
     print(f"  reached tol {args.tol:g} within {cfg.iterations} iterations: "
@@ -284,6 +281,7 @@ def _cmd_opcount(args) -> int:
     print(f"n_antennas {args.n}  n_users {args.k}  iterations {args.iters}")
     print(f"  mpd  : {mpd.total:,.0f} real ops  {mpd.breakdown}")
     print(f"  mmse : {mmse.total:,.0f} real ops  {mmse.breakdown}")
+    print(f"  mmse solve counted: {mmse.model['solve']}")
     print(f"  ratio mpd/mmse = {ratio:.3f}")
     if args.out:
         _write_table(os.path.join(_out_dir(args), "opcount.csv"), "receiver,total,breakdown",

@@ -3,7 +3,8 @@
 As the array grows at fixed loading alpha = K/N, the normalized Gram matrix
 G = H^H H / N (`model.gram`) concentrates: diagonal entries tighten around the
 per-user variance and off-diagonal entries shrink like 1/sqrt(N). The
-concentration report reads the real stacking J of G; the eigenvalue
+concentration report reads G and gives the statistics of its real stacking
+J = [[Re G, -Im G], [Im G, Re G]] without forming J; the eigenvalue
 spectrum of G approaches the Marchenko-Pastur density with ratio alpha.
 """
 from __future__ import annotations
@@ -34,18 +35,20 @@ class HardeningReport:
     diag_std: float | np.ndarray
     offdiag_rms: float | np.ndarray
     offdiag_max: float | np.ndarray
-    size: int
 
 
-def hardening_report(J: np.ndarray) -> HardeningReport:
-    """Diagonal and off-diagonal statistics of real-stacked Grams J (..., 2K, 2K)."""
-    J = np.asarray(J, dtype=float)
-    m = J.shape[-1]
-    d = np.diagonal(J, axis1=-2, axis2=-1)
-    off = J[..., ~np.eye(m, dtype=bool)]
+def hardening_report(G: np.ndarray) -> HardeningReport:
+    """Diagonal and off-diagonal statistics, in float64, of the real stackings
+    J of square complex G (..., K, K), Hermitian or not. J's diagonal holds
+    Re G_ii twice, and its off-diagonal entries are Re G_ij (i != j) and
+    +-Im G_ij (all i, j), each twice, so J is never formed."""
+    G = np.asarray(G)
+    d = np.diagonal(G.real, axis1=-2, axis2=-1).astype(float)
+    off = np.concatenate([G.real[..., ~np.eye(G.shape[-1], dtype=bool)],
+                          G.imag.reshape(G.shape[:-2] + (-1,))], axis=-1, dtype=float)
     stats = (d.mean(axis=-1), d.std(axis=-1), np.sqrt(np.mean(off ** 2, axis=-1)),
              np.max(np.abs(off), axis=-1))
-    return HardeningReport(*(v if v.ndim else float(v) for v in stats), size=m)
+    return HardeningReport(*(v if v.ndim else float(v) for v in stats))
 
 
 def mp_support(alpha: float) -> tuple[float, float]:

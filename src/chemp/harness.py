@@ -284,9 +284,10 @@ def _accumulate(cfg: SimConfig, point_idx: int, batch_fn, pool, workers: int):
 
     Up to 2 * `workers` batches are in flight; `batch_fn(cfg, point_idx,
     batch_idx, n_trials)` must be picklable when `workers > 1`. The pending
-    ones are cancelled once the rule fires, and all of them on an error,
-    which then reaches the caller without waiting for the queued batches.
-    """
+    ones are cancelled once the rule fires. An error reaches the caller at
+    once, but with `workers > 1` up to workers + 1 batches already in the
+    pool's call queue cannot be cancelled: they run to completion in the
+    worker processes, and the interpreter joins them at exit."""
     takes = [min(cfg.batch_size, cfg.max_trials - done)
              for done in range(0, cfg.max_trials, cfg.batch_size)]
     totals = None

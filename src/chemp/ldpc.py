@@ -123,16 +123,15 @@ class LdpcCode:
     info_cols: np.ndarray
     encode_mat: np.ndarray  # (rank, k): parity bits = encode_mat @ info mod 2
 
-    # cached edge structure for message passing
-    edge_var: np.ndarray = field(default=None, repr=False)
-    edge_chk: np.ndarray = field(default=None, repr=False)
+    # edge structure for message passing, always derived from parity_check
+    edge_var: np.ndarray = field(init=False, repr=False)
+    edge_chk: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.edge_var is None:
-            coo = self.parity_check.tocoo()
-            order = np.lexsort((coo.col, coo.row))
-            self.edge_chk = coo.row[order].astype(np.int64)
-            self.edge_var = coo.col[order].astype(np.int64)
+        coo = self.parity_check.tocoo()
+        order = np.lexsort((coo.col, coo.row))
+        self.edge_chk = coo.row[order].astype(np.int64)
+        self.edge_var = coo.col[order].astype(np.int64)
 
     @property
     def m(self) -> int:

@@ -75,7 +75,7 @@ def test_ac01_hardening_ratio():
     rng = np.random.default_rng(101)
 
     def mean_rms(n):
-        rep = hardening_report(real_stack(gram(draw_channels(rng, n, n, 100))))
+        rep = hardening_report(gram(draw_channels(rng, n, n, 100)))
         return float(np.mean(rep.offdiag_rms))
 
     ratio = mean_rms(64) / mean_rms(16)

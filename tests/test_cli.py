@@ -176,6 +176,8 @@ def test_opcount_output(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "mpd" in out and "mmse" in out
+    assert ("  mmse solve counted: 16 K^3 / 3 Cholesky of the regularized 2K-dim real Gram "
+            "+ 16 K^2 triangular solves + 2 K regularization\n") in out
     assert (tmp_path / "opcount.csv").exists()
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chemp import (
+    convergence_condition,
     draw_channels,
     eigenvalue_histogram,
     gram,
@@ -17,12 +18,12 @@ from chemp import (
 
 
 def make_gram(n, k, rng):
-    """Real-stacked Gram J = real_stack(H^H H / N) of one draw."""
-    return real_stack(gram(draw_channels(rng, n, k)))
+    """Complex Gram G = H^H H / N of one draw."""
+    return gram(draw_channels(rng, n, k))
 
 
 def test_gram_is_symmetric_unit_diagonal(rng):
-    J = make_gram(128, 64, rng)
+    J = real_stack(make_gram(128, 64, rng))
     np.testing.assert_allclose(J, J.T)
     assert np.mean(np.diagonal(J)) == pytest.approx(1.0, abs=0.05)
 
@@ -42,7 +43,7 @@ def test_gram_matches_real_stacked_product(rng):
 def test_structural_zeros_between_quadrature_pairs(rng):
     # column i and column K+i of the real stacking are exactly orthogonal
     k = 16
-    J = make_gram(64, k, rng)
+    J = real_stack(make_gram(64, k, rng))
     idx = np.arange(k)
     np.testing.assert_allclose(J[idx, idx + k], 0.0, atol=1e-14)
 
@@ -56,7 +57,6 @@ def test_offdiagonal_rms_scale(rng):
 
 def test_hardening_report_fields(rng):
     r = hardening_report(make_gram(64, 32, rng))
-    assert r.size == 64
     assert all(type(v) is float for v in (r.diag_mean, r.diag_std, r.offdiag_rms,
                                            r.offdiag_max))
     assert r.diag_mean == pytest.approx(1.0, abs=0.2)
@@ -64,15 +64,38 @@ def test_hardening_report_fields(rng):
 
 
 def test_hardening_report_batched_matches_per_matrix(rng):
-    J = real_stack(gram(draw_channels(rng, 16, 8, (2, 3))))
-    batched = hardening_report(J)
-    assert batched.size == 16
+    G = gram(draw_channels(rng, 16, 8, (2, 3)))
+    batched = hardening_report(G)
     for i, j in np.ndindex(2, 3):
-        single = hardening_report(J[i, j])
+        single = hardening_report(G[i, j])
         for name in ("diag_mean", "diag_std", "offdiag_rms", "offdiag_max"):
             assert getattr(batched, name).shape == (2, 3)
             assert getattr(batched, name)[i, j] == pytest.approx(getattr(single, name),
                                                                  rel=1e-12)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_gram_diagnostics_match_real_stacking(rng, hermitian):
+    # both diagnostics read G; the reference applies their formulas to J
+    if hermitian:
+        G = gram(draw_channels(rng, 16, 6, (2, 3))).astype(complex)
+    else:
+        G = rng.standard_normal((2, 3, 6, 6)) + 1j * rng.standard_normal((2, 3, 6, 6))
+    J = real_stack(G)
+    k = G.shape[-1]
+    d = np.diagonal(J, axis1=-2, axis2=-1)
+    r = np.sum(np.abs(J), axis=-1) - np.abs(d)
+    rep = convergence_condition(G)
+    for half in (slice(None, k), slice(k, None)):
+        np.testing.assert_array_equal(rep.anti_dominance, ((d - r) < r)[..., half])
+        np.testing.assert_array_equal(rep.diagonal_dominance, (d > r)[..., half])
+    off = J[..., ~np.eye(2 * k, dtype=bool)]
+    want = {"diag_mean": d.mean(axis=-1), "diag_std": d.std(axis=-1),
+            "offdiag_rms": np.sqrt(np.mean(off ** 2, axis=-1)),
+            "offdiag_max": np.max(np.abs(off), axis=-1)}
+    got = hardening_report(G)
+    for name, ref in want.items():
+        np.testing.assert_allclose(getattr(got, name), ref, rtol=1e-12, atol=0)
 
 
 def test_mp_support():
