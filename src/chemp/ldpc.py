@@ -15,17 +15,24 @@ after capacity, so a profile with high-degree checks keeps hundreds of
 The decoder runs in the detector's working precision `mpd.DTYPE` (float32),
 so the coded receiver has one precision end to end; `SumProduct` describes
 its phi-domain check update, which keeps float64's message range.
+
+Parity-check matrices are `scipy.sparse` matrices. The functions that
+build, census, decode or export a code import `scipy.sparse` when they run,
+so importing this module, and chemp, loads numpy only.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .mpd import DTYPE
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "DegreeProfile",
@@ -152,6 +159,8 @@ class LdpcCode:
     def four_cycles(self) -> int:
         """Number of 4-cycles in the Tanner graph: two checks that share s
         variables close C(s, 2) of them."""
+        from scipy import sparse
+
         h = self.parity_check.astype(np.int64)
         s = sparse.triu(h @ h.T, k=1).data
         return int((s * (s - 1) // 2).sum())
@@ -237,6 +246,8 @@ def _solve_counts(profile: DegreeProfile, n: int, m: int):
 
 def build_code(profile: DegreeProfile, n: int, rng: np.random.Generator) -> LdpcCode:
     """Construct a code of length n realizing the profile."""
+    from scipy import sparse
+
     if n < 4:
         raise ValueError("block length too small")
     k_target = profile.rate * n
@@ -316,6 +327,8 @@ def _farthest(words: np.ndarray, roots: np.ndarray, pool: np.ndarray) -> np.ndar
 
 def code_from_parity_check(h: sparse.csr_matrix | np.ndarray) -> LdpcCode:
     """Derive the systematic encoder from a binary parity-check matrix."""
+    from scipy import sparse
+
     hs = sparse.csr_matrix(h, dtype=np.uint8)
     m, n = hs.shape
     dense = np.asarray(hs.todense(), dtype=np.uint8)
@@ -411,6 +424,8 @@ class SumProduct:
     """
 
     def __init__(self, code: LdpcCode):
+        from scipy import sparse
+
         e = code.n_edges
         chk_deg = np.bincount(code.edge_chk, minlength=code.m)
         deg = chk_deg[code.edge_chk]
@@ -530,6 +545,8 @@ def bp_decode_batch(code: LdpcCode, llrs: np.ndarray, max_iters: int):
 
 def write_alist(code: LdpcCode, path: str):
     """Write the parity-check matrix in the standard alist text format."""
+    from scipy import sparse
+
     h = sparse.csc_matrix(code.parity_check, dtype=np.uint8)
     m, n = h.shape
     col_deg = np.diff(h.indptr)

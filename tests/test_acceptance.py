@@ -2,11 +2,12 @@
 
 Each test exercises one published behavioral claim at its stated scale and
 tolerance and prints exactly one PASS/FAIL line with the measured numbers.
-The suite is budgeted for a single CPU; the coded comparisons are the long
-poles at a few minutes each.
+The long sweeps run on every core; a point does not depend on the worker
+count.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -41,6 +42,10 @@ from chemp import (
     real_stack,
     transmit,
 )
+
+
+# workers of the long sweeps (AC06, AC12, AC13); AC14 checks the invariance
+WORKERS = os.cpu_count() or 1
 
 
 def verdict(num: int, ok: bool, detail: str) -> str:
@@ -164,14 +169,14 @@ def test_ac06_detector_vs_linear_baseline():
     grid = (9.0, 10.0, 11.0, 12.0)
     mmse_curve = run_uncoded_sweep(uncoded_cfg(
         n_antennas=128, snr_db=grid, receiver="mmse", seed=106,
-        target_errors=120, max_trials=40_000, batch_size=400))
+        target_errors=120, max_trials=40_000, batch_size=400), workers=WORKERS)
     snr_star = log_crossing(mmse_curve.points, 1e-3)
     assert snr_star is not None, "linear baseline never crossed 1e-3 on the grid"
     both = {}
     for r in ("mmse", "mpd"):
         p = run_uncoded_sweep(uncoded_cfg(
             n_antennas=128, snr_db=(round(snr_star, 2),), receiver=r, seed=106,
-            target_errors=120, max_trials=60_000, batch_size=400)).points[0]
+            target_errors=120, max_trials=60_000, batch_size=400), workers=WORKERS).points[0]
         both[r] = p
     ratio = both["mmse"].ber / max(both["mpd"].ber, 1e-12)
     ok = (ratio >= 3.0 and both["mmse"].errors >= 100 and both["mpd"].errors >= 100)
@@ -307,8 +312,8 @@ def test_ac12_joint_gain_and_noiseless_recovery():
     # equal iteration budget: joint 20 x (1 detector + 2 decoder) = 60 vs
     # separate 20 detector + 40 decoder = 60; joint no worse at every point
     snrs = (4.0, 5.0, 6.0)
-    cj = run_coded_sweep(coded_cfg("joint", "n128-alpha1", snrs, seed=112))
-    cs = run_coded_sweep(coded_cfg("separate", "n128-alpha1", snrs, seed=112))
+    cj = run_coded_sweep(coded_cfg("joint", "n128-alpha1", snrs, seed=112), workers=WORKERS)
+    cs = run_coded_sweep(coded_cfg("separate", "n128-alpha1", snrs, seed=112), workers=WORKERS)
     pairwise = [(a.snr_db, a.ber, b.ber) for a, b in zip(cj.points, cs.points)]
     order_ok = all(j <= s for _, j, s in pairwise)
 
@@ -341,8 +346,8 @@ def test_ac13_optimized_vs_regular_code():
     # identical pipeline, both codes at n=1000, N=K=32: the optimized profile
     # is required to reach BER 1e-3 at least 0.3 dB before the regular code
     snrs = (3.5, 4.0, 4.5, 5.0)
-    ci = run_coded_sweep(coded_cfg("joint", "n128-alpha1", snrs, seed=113))
-    cr = run_coded_sweep(coded_cfg("joint", "regular-3-6", snrs, seed=113))
+    ci = run_coded_sweep(coded_cfg("joint", "n128-alpha1", snrs, seed=113), workers=WORKERS)
+    cr = run_coded_sweep(coded_cfg("joint", "regular-3-6", snrs, seed=113), workers=WORKERS)
     s_irr = log_crossing(ci.points, 1e-3)
     s_reg = log_crossing(cr.points, 1e-3)
     irr_txt = "none" if s_irr is None else f"{s_irr:.2f} dB"

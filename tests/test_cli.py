@@ -178,6 +178,11 @@ def test_opcount_output(tmp_path, capsys):
     assert "mpd" in out and "mmse" in out
     assert ("  mmse solve counted: 16 K^3 / 3 Cholesky of the regularized 2K-dim real Gram "
             "+ 16 K^2 triangular solves + 2 K regularization\n") in out
+    # the complex K x K solve mmse_detect runs: 8 * 64^3 / 3 + 16 * 64^2 + 64
+    assert ("  mmse solve as run : 8 K^3 / 3 Cholesky of the regularized K x K complex Gram "
+            "+ 16 K^2 triangular solves + K regularization = 764,651 real ops, "
+            "mmse 2,960,107 real ops\n") in out
+    assert "  ratio mpd/mmse = 0.972  (solve as run: 1.201)\n" in out
     assert (tmp_path / "opcount.csv").exists()
 
 

@@ -241,6 +241,52 @@ def test_steady_state_sweep_takes_no_page_faults():
     assert float(out.stdout) < 100
 
 
+def test_sweep_process_loads_scipy_only_when_a_code_is_built():
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import chemp, chemp.cli
+        from chemp.harness import SimConfig, run_uncoded_sweep
+        run_uncoded_sweep(SimConfig(n_antennas=8, n_users=4, max_trials=20, batch_size=10))
+        print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+        chemp.build_code(chemp.regular_profile(), 48, np.random.default_rng(0))
+        print("scipy.sparse" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(chemp.__file__))  # this chemp, not an installed one
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env, timeout=120)
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+@pytest.mark.skipif(not harness._openblas_setters(), reason="no OpenBLAS library found")
+def test_batches_run_on_one_blas_thread_and_give_the_counts_back(monkeypatch):
+    # scipy's OpenBLAS, which threads the MMSE Cholesky from K = 64, is loaded
+    # first, so that both libraries start at two threads
+    import scipy.linalg.lapack  # noqa: F401
+
+    setters = harness._openblas_setters()
+    before = [setter(2) for setter in setters]
+    seen = []
+
+    def batch(*args):
+        seen.append([setter(1) for setter in harness._openblas_setters()])
+        return _batch(*args)
+
+    monkeypatch.setattr(harness, "_batch", batch)
+    cfg = SimConfig(n_antennas=64, n_users=64, snr_db=(10.0,), receiver="mmse",
+                    target_errors=10 ** 9, max_trials=40, batch_size=20)
+    try:
+        run_uncoded_sweep(cfg)
+        after = [setter(2) for setter in setters]
+    finally:
+        for setter, n in zip(setters, before):
+            setter(n)
+    assert seen == [[1] * len(setters)] * 2
+    assert after == [2] * len(setters)
+
+
 def test_uncoded_sweep_seed_changes_results():
     a = run_uncoded_sweep(tiny_cfg())
     b = run_uncoded_sweep(tiny_cfg(seed=43))
