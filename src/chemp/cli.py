@@ -23,10 +23,10 @@ from . import __version__
 from .analysis import convergence_condition, fixed_point_residuals, llr_mse_empirical
 from .hardening import eigenvalue_histogram, hardening_report, mp_distance
 from .harness import (CODED_RECEIVERS, UNCODED_RECEIVERS, BerCurve, SimConfig,
-                      count_operations, resolve_profile, run_coded_sweep,
+                      build_sweep_code, count_operations, run_coded_sweep,
                       run_uncoded_sweep)
 from .joint import JointConfig, measure_exit_detector
-from .ldpc import build_code, write_alist
+from .ldpc import write_alist
 from .model import draw_channels, gram, noise_variance, transmit
 from .mpd import MpdConfig, MpdEngine, matched_filter
 
@@ -295,9 +295,10 @@ def _cmd_opcount(args) -> int:
 
 
 def _cmd_code_build(args) -> int:
-    rng = np.random.default_rng(_seed(args))
-    profile = resolve_profile(args.code)
-    code = build_code(profile, args.block_length, rng)
+    # the code `chemp coded` simulates for the same code, length and seed
+    code = build_sweep_code(SimConfig(**{**_SWEEP_DEFAULTS["coded"], "code_spec": args.code,
+                                         "block_length": args.block_length,
+                                         "seed": _seed(args)}))
     out = _out_dir(args)
     path = os.path.join(out, args.filename or f"{args.code}_n{args.block_length}.alist")
     write_alist(code, path)

@@ -25,22 +25,24 @@ either turns off the dynamic thresholds, which is why both are set: one
 alone faults more than the default. A process keeps up to 256 MiB of
 freed heap after a sweep. On a C library other than glibc nothing is set.
 
-Thread policy: workers are a sweep's only parallelism. Every batch runs on
-one thread in each OpenBLAS library loaded in its process: numpy's, and
-scipy's, which an MMSE receiver's LAPACK brings in; that one is loaded
-before the batch starts, so the batch that loads it runs it on one thread
-too. Each library keeps its own thread pool, and extra threads only
-compete with the other library and the other workers for the same cores:
-an MMSE sweep at N = 128, K = 64 on two workers of a 2-vCPU host took 35
-times as long with two threads per library as with one. One thread also
-fixes the rounding of scipy's Cholesky, which from order 64 rounds
-differently on several threads, so an MMSE result no longer depends on
-the caller's thread count.
-The libraries are found with dl_iterate_phdr(3) before each batch and set
-through their `openblas_set_num_threads_local`, and each gets its previous
-count back when the batch returns, so the caller's counts hold between and
-after sweeps. Where the C library has no dl_iterate_phdr (macOS, Windows),
-or no OpenBLAS is loaded, nothing is set.
+Thread policy: workers are a sweep's only parallelism. Batches run on one
+thread in each OpenBLAS library loaded in their process: numpy's, and
+scipy's, which an MMSE receiver's LAPACK brings in and which is therefore
+loaded before the policy is set. Each library keeps its own thread pool,
+and extra threads only compete with the other library and the other
+workers for the same cores: an MMSE sweep at N = 128, K = 64 on two
+workers of a 2-vCPU host took 35 times as long with two threads per
+library as with one. One thread also fixes the rounding of scipy's
+Cholesky, which from order 64 rounds differently on several threads, so
+an MMSE result no longer depends on the caller's thread count.
+The libraries are found with dl_iterate_phdr(3) and set through their
+`openblas_set_num_threads_local`. Where the C library has no
+dl_iterate_phdr (macOS, Windows), or no OpenBLAS is loaded, nothing is set.
+
+Both policies are set once per process: in the sweep's own process for the
+length of the sweep, and in each pool worker by the pool's initializer.
+Each library gets the caller's thread count back when the sweep returns,
+so the caller's counts hold between and after sweeps.
 """
 from __future__ import annotations
 
@@ -300,37 +302,27 @@ def _batch(code: LdpcCode | None, cfg: SimConfig, point_idx: int, batch_idx: int
             int(np.any(per_codeword, axis=-1).sum()), int(np.sum(per_codeword ** 2)))
 
 
-def _batch_on_one_thread(code: LdpcCode | None, cfg: SimConfig, point_idx: int,
-                         batch_idx: int, n_trials: int):
-    """`_batch` under the thread policy; an MMSE receiver's LAPACK is loaded
-    first, so that the policy finds its OpenBLAS."""
-    if cfg.receiver.startswith("mmse"):
-        import scipy.linalg.lapack  # noqa: F401
-    setters = _openblas_setters()
-    before = [setter(1) for setter in setters]
-    try:
-        return _batch(code, cfg, point_idx, batch_idx, n_trials)
-    finally:
-        for setter, n in zip(setters, before):
-            setter(n)
-
-
 # glibc mallopt(3) parameters and the heap policy's values (module docstring)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20))
 
 
-def _keep_freed_heap():
-    """Apply the heap policy of the module docstring to this process (glibc only)."""
-    if platform.libc_ver()[0] != "glibc":
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for param, value in _HEAP_POLICY:
-        if mallopt(param, value) != 1:
-            raise OSError(f"mallopt({param}, {value}) failed")
+def _set_process_policies(receiver: str) -> list:
+    """Apply the heap policy (glibc only) and the thread policy of the module
+    docstring to this process, loading an MMSE receiver's LAPACK first so
+    that the thread policy finds its OpenBLAS. Returns (setter, previous
+    thread count) for each OpenBLAS library set."""
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        for param, value in _HEAP_POLICY:
+            if mallopt(param, value) != 1:
+                raise OSError(f"mallopt({param}, {value}) failed")
+    if receiver.startswith("mmse"):
+        import scipy.linalg.lapack  # noqa: F401
+    return [(setter, setter(1)) for setter in _openblas_setters()]
 
 
 class _InThisThread(Executor):
@@ -381,15 +373,20 @@ def _accumulate(cfg: SimConfig, point_idx: int, batch_fn, pool, workers: int):
 
 def _sweep(cfg: SimConfig, workers: int, code: LdpcCode | None = None) -> BerCurve:
     """The sweep body of both sweeps, uncoded when `code` is None: one point
-    per SNR, all on one executor, under the heap policy in every process and
-    the thread policy in every batch."""
-    batch_fn = functools.partial(_batch_on_one_thread, code)
-    _keep_freed_heap()
-    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_heap)
-            if workers > 1 else _InThisThread())
-    with pool:
-        points = [_make_point(snr, cfg.n_users, *_accumulate(cfg, pi, batch_fn, pool, workers))
-                  for pi, snr in enumerate(cfg.snr_db)]
+    per SNR, all on one executor, under the heap and thread policies in every
+    process; the caller's thread counts come back when it returns."""
+    batch_fn = functools.partial(_batch, code)
+    restore = _set_process_policies(cfg.receiver)
+    try:
+        pool = (ProcessPoolExecutor(max_workers=workers, initializer=_set_process_policies,
+                                    initargs=(cfg.receiver,))
+                if workers > 1 else _InThisThread())
+        with pool:
+            points = [_make_point(snr, cfg.n_users, *_accumulate(cfg, pi, batch_fn, pool, workers))
+                      for pi, snr in enumerate(cfg.snr_db)]
+    finally:
+        for setter, count in restore:
+            setter(count)
     provenance = {"config": asdict(cfg), "config_hash": config_hash(cfg),
                   "seed": cfg.seed, "numpy": np.__version__}
     if code is not None:

@@ -16,23 +16,21 @@ The decoder runs in the detector's working precision `mpd.DTYPE` (float32),
 so the coded receiver has one precision end to end; `SumProduct` describes
 its phi-domain check update, which keeps float64's message range.
 
-Parity-check matrices are `scipy.sparse` matrices. The functions that
-build, census, decode or export a code import `scipy.sparse` when they run,
-so importing this module, and chemp, loads numpy only.
+A code is its edge list, the (check, variable) positions of the ones of
+its parity-check matrix. The `scipy.sparse` matrix that the syndrome, the
+4-cycle census and the alist export read, and the decoder's kernel, are
+built from it on first use, so importing chemp and building a code load
+numpy only.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
 from .mpd import DTYPE
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "DegreeProfile",
@@ -121,28 +119,29 @@ TABLE_PROFILES: dict[str, DegreeProfile] = {
 
 @dataclass
 class LdpcCode:
-    """A parity-check matrix with a systematic encoder derived from it."""
+    """An m x n parity-check matrix, held as its edge list, with a systematic
+    encoder derived from it.
 
-    parity_check: sparse.csr_matrix
+    Edge e joins check `edge_chk[e]` and variable `edge_var[e]`; the edges are
+    sorted by check and then by variable, the row-major order of the ones.
+    """
+
     n: int
+    m: int
     k: int
+    edge_chk: np.ndarray
+    edge_var: np.ndarray
     pivot_cols: np.ndarray
     info_cols: np.ndarray
     encode_mat: np.ndarray  # (rank, k): parity bits = encode_mat @ info mod 2
 
-    # edge structure for message passing, always derived from parity_check
-    edge_var: np.ndarray = field(init=False, repr=False)
-    edge_chk: np.ndarray = field(init=False, repr=False)
+    @functools.cached_property
+    def parity_check(self):
+        """The parity-check matrix as a uint8 `scipy.sparse` CSR matrix, built on first use."""
+        from scipy import sparse
 
-    def __post_init__(self):
-        coo = self.parity_check.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        self.edge_chk = coo.row[order].astype(np.int64)
-        self.edge_var = coo.col[order].astype(np.int64)
-
-    @property
-    def m(self) -> int:
-        return self.parity_check.shape[0]
+        ones = np.ones(self.n_edges, dtype=np.uint8)
+        return sparse.csr_matrix((ones, (self.edge_chk, self.edge_var)), shape=(self.m, self.n))
 
     @property
     def n_edges(self) -> int:
@@ -159,10 +158,9 @@ class LdpcCode:
     def four_cycles(self) -> int:
         """Number of 4-cycles in the Tanner graph: two checks that share s
         variables close C(s, 2) of them."""
-        from scipy import sparse
-
         h = self.parity_check.astype(np.int64)
-        s = sparse.triu(h @ h.T, k=1).data
+        shared = (h @ h.T).tocoo()
+        s = shared.data[shared.row < shared.col]
         return int((s * (s - 1) // 2).sum())
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
@@ -246,8 +244,6 @@ def _solve_counts(profile: DegreeProfile, n: int, m: int):
 
 def build_code(profile: DegreeProfile, n: int, rng: np.random.Generator) -> LdpcCode:
     """Construct a code of length n realizing the profile."""
-    from scipy import sparse
-
     if n < 4:
         raise ValueError("block length too small")
     k_target = profile.rate * n
@@ -296,9 +292,8 @@ def build_code(profile: DegreeProfile, n: int, rng: np.random.Generator) -> Ldpc
             cdeg[c] += 1
 
     placed = vt >= 0
-    chk = vt[placed]
-    h = sparse.csr_matrix((np.ones(chk.size, dtype=np.uint8), (chk, np.nonzero(placed)[0])),
-                          shape=(m, n))
+    h = np.zeros((m, n), dtype=np.uint8)
+    h[vt[placed], np.nonzero(placed)[0]] = 1
     return code_from_parity_check(h)
 
 
@@ -325,13 +320,16 @@ def _farthest(words: np.ndarray, roots: np.ndarray, pool: np.ndarray) -> np.ndar
 # GF(2) systematization and encoding
 
 
-def code_from_parity_check(h: sparse.csr_matrix | np.ndarray) -> LdpcCode:
-    """Derive the systematic encoder from a binary parity-check matrix."""
-    from scipy import sparse
-
-    hs = sparse.csr_matrix(h, dtype=np.uint8)
-    m, n = hs.shape
-    dense = np.asarray(hs.todense(), dtype=np.uint8)
+def code_from_parity_check(h: np.ndarray) -> LdpcCode:
+    """Derive the systematic encoder from a dense parity-check matrix of
+    zeros and ones, by Gauss-Jordan elimination over GF(2)."""
+    h = np.asarray(h)
+    # checked before the cast to uint8, which would wrap other values
+    if h.ndim != 2 or not np.isin(h, (0, 1)).all():
+        raise ValueError("a parity-check matrix is 2-D and holds only zeros and ones")
+    m, n = h.shape
+    edge_chk, edge_var = np.nonzero(h)
+    dense = h.astype(np.uint8)
     r = 0
     piv = []
     for c in range(n):
@@ -353,9 +351,8 @@ def code_from_parity_check(h: sparse.csr_matrix | np.ndarray) -> LdpcCode:
     pivot_cols = np.asarray(piv, dtype=np.int64)
     info_cols = np.setdiff1d(np.arange(n), pivot_cols)
     encode_mat = dense[:rank][:, info_cols].copy()
-    return LdpcCode(parity_check=hs, n=n, k=int(n - rank),
-                    pivot_cols=pivot_cols, info_cols=info_cols,
-                    encode_mat=encode_mat)
+    return LdpcCode(n=n, m=m, k=int(n - rank), edge_chk=edge_chk, edge_var=edge_var,
+                    pivot_cols=pivot_cols, info_cols=info_cols, encode_mat=encode_mat)
 
 
 def encode(code: LdpcCode, info_bits: np.ndarray) -> np.ndarray:
@@ -545,12 +542,10 @@ def bp_decode_batch(code: LdpcCode, llrs: np.ndarray, max_iters: int):
 
 def write_alist(code: LdpcCode, path: str):
     """Write the parity-check matrix in the standard alist text format."""
-    from scipy import sparse
-
-    h = sparse.csc_matrix(code.parity_check, dtype=np.uint8)
+    hr = code.parity_check
+    h = hr.tocsc()
     m, n = h.shape
     col_deg = np.diff(h.indptr)
-    hr = sparse.csr_matrix(h)
     row_deg = np.diff(hr.indptr)
     dv, dc = int(col_deg.max()), int(row_deg.max())
     lines = [f"{n} {m}", f"{dv} {dc}",

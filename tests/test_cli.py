@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import chemp.cli as cli_mod
-from chemp import JointConfig, MpdConfig, SimConfig
+from chemp import JointConfig, MpdConfig, SimConfig, build_sweep_code, write_alist
 from chemp.cli import main
 
 
@@ -193,6 +193,16 @@ def test_code_build_writes_alist(tmp_path, capsys):
     assert "4-cycles" in capsys.readouterr().out
     path = tmp_path / "regular-3-6_n128.alist"
     assert path.read_text().split("\n")[:2] == ["128 64", "3 6"]
+
+
+def test_code_build_exports_the_code_a_coded_sweep_simulates(tmp_path):
+    assert run(tmp_path, "code-build", "--code", "n128-alpha1",
+               "--block-length", "96", "--seed", "5") == 0
+    cfg = SimConfig(n_antennas=8, n_users=8, receiver="joint", code_spec="n128-alpha1",
+                    block_length=96, seed=5)
+    write_alist(build_sweep_code(cfg), str(tmp_path / "sweep.alist"))
+    assert ((tmp_path / "n128-alpha1_n96.alist").read_text()
+            == (tmp_path / "sweep.alist").read_text())
 
 
 def test_code_build_rejects_bad_spec(tmp_path):

@@ -204,6 +204,20 @@ def test_code_from_parity_check_tiny():
     assert len({tuple(w) for w in words}) == 4
 
 
+def test_code_from_parity_check_rejects_non_binary_input():
+    # cast to uint8, this matrix gave k = 3 and an encoder none of whose unit
+    # words passed the code's own checks
+    h = np.array([[2, 1, 1, 0, 0, 0], [0, 0, 0, 2, 1, 2], [1, 1, 2, 2, 1, 1]])
+    with pytest.raises(ValueError, match="zeros and ones"):
+        code_from_parity_check(h)
+    with pytest.raises(ValueError, match="zeros and ones"):
+        code_from_parity_check(np.eye(3, dtype=np.int64) + 256)  # wraps to 0/1 in uint8
+    with pytest.raises(ValueError, match="zeros and ones"):
+        code_from_parity_check(np.eye(3) / 2)
+    with pytest.raises(ValueError, match="2-D"):
+        code_from_parity_check(np.ones(4, dtype=np.uint8))
+
+
 def test_syndrome_batched(small_regular):
     rng = np.random.default_rng(9)
     words = encode(small_regular, rng.integers(0, 2, size=(4, small_regular.k)))
