@@ -148,7 +148,7 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
         rounds[dec.run(flat, cfg.decoder_passes)] = r
         if not dec.live.size:
             break
-        prior = np.clip(_symbol_layout(dec.ext.reshape(shape + (code.n,))),
+        prior = np.clip(_symbol_layout(dec.extrinsic().reshape(shape + (code.n,))),
                         -LLR_CLIP, LLR_CLIP)
     dec.finish(flat)
 

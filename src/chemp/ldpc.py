@@ -17,10 +17,11 @@ so the coded receiver has one precision end to end; `SumProduct` describes
 its phi-domain check update, which keeps float64's message range.
 
 A code is its edge list, the (check, variable) positions of the ones of
-its parity-check matrix. The `scipy.sparse` matrix that the syndrome, the
-4-cycle census and the alist export read, and the decoder's kernel, are
-built from it on first use, so importing chemp and building a code load
-numpy only.
+its parity-check matrix. The decoder's kernel is built from it on first use,
+in numpy, and computes the syndrome too; the `scipy.sparse` matrix that only
+the 4-cycle census and the alist export read is built on theirs. So
+importing chemp, building a code, encoding, decoding and checking words
+load numpy only.
 """
 from __future__ import annotations
 
@@ -164,12 +165,15 @@ class LdpcCode:
         return int((s * (s - 1) // 2).sum())
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
-        bits = np.asarray(bits, dtype=np.uint8)
-        return np.asarray(self.parity_check.dot(bits.T) % 2, dtype=np.uint8).T
+        """Parity of every check, (..., m), on words of zeros and ones (..., n)."""
+        bits = _binary(bits, "words")
+        if bits.ndim == 0 or bits.shape[-1] != self.n:
+            raise ValueError(f"words must have length n = {self.n} on their last axis")
+        s = self.kernel.syndrome(bits.astype(np.uint8, copy=False).reshape(-1, self.n))
+        return s.reshape(bits.shape[:-1] + (self.m,))
 
     def is_codeword(self, bits: np.ndarray) -> np.ndarray | bool:
-        s = self.syndrome(bits)
-        ok = ~np.any(s, axis=-1)
+        ok = ~np.any(self.syndrome(bits), axis=-1)
         return bool(ok) if np.ndim(ok) == 0 else ok
 
     @functools.cached_property
@@ -355,10 +359,19 @@ def code_from_parity_check(h: np.ndarray) -> LdpcCode:
                     pivot_cols=pivot_cols, info_cols=info_cols, encode_mat=encode_mat)
 
 
+def _binary(bits, what: str) -> np.ndarray:
+    """`bits` as an array, checked to hold only zeros and ones before any
+    cast to uint8 could wrap other values."""
+    bits = np.asarray(bits)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError(f"{what} must be 0 or 1")
+    return bits
+
+
 def encode(code: LdpcCode, info_bits: np.ndarray) -> np.ndarray:
     """Systematic encoding; info bits appear verbatim at the info positions."""
-    u = np.asarray(info_bits, dtype=np.uint8)
-    if u.shape[-1] != code.k:
+    u = _binary(info_bits, "info bits").astype(np.uint8, copy=False)
+    if u.ndim == 0 or u.shape[-1] != code.k:
         raise ValueError("info word length must equal k")
     # a float32 product runs in BLAS and is exact: each parity sum counts at
     # most k ones, and float32 holds every integer up to 2**24
@@ -391,16 +404,43 @@ def _phi(x: np.ndarray) -> np.ndarray:
 _SUM_MIN, _SUM_MAX = DTYPE(1e-15), _phi(np.array([_MSG_MIN]))[0]
 
 
+def _layout(node: np.ndarray, n_nodes: int):
+    """Node-major layout of a code's edges, where `node` names each edge's
+    check (or variable) in code order.
+
+    Returns `order`, the code edge of each row: nodes are grouped by degree,
+    and the nodes of degree d own one contiguous block of d * count rows, read
+    as a (d, count) array whose slot j holds each node's j-th edge in code
+    order. Also returns the blocks as (first row, end row, degree), each
+    node's position `rank` among the nodes sorted by degree then index, and
+    the number of nodes of degree 0, which come first in that order, before
+    the columns of each block in turn.
+    """
+    deg = np.bincount(node, minlength=n_nodes)
+    by_node = np.argsort(node, kind="stable")
+    slot = np.empty_like(node)
+    slot[by_node] = np.arange(node.size) - (np.cumsum(deg) - deg)[node[by_node]]
+    order = np.lexsort((node, slot, deg[node]))
+    degs, rows = np.unique(deg[node], return_counts=True)
+    blocks = [(int(hi - r), int(hi), int(d)) for d, r, hi in zip(degs, rows, np.cumsum(rows))]
+    return order, blocks, np.argsort(np.argsort(deg, kind="stable")), int(np.sum(deg == 0))
+
+
 class SumProduct:
     """Flooding sum-product kernel over a code's edge list, batch-last, in `DTYPE`.
 
     Messages are explicit (n_edges, B) arrays, one row per edge and one
     column per frame, so an outer receiver loop can keep decoder state alive
     across its own iterations while the channel LLRs it supplies keep
-    improving. Rows are grouped by check degree: the checks of degree d own
-    one contiguous block of d * count rows, read as a (d, count, B) array
-    whose slot j holds each check's j-th edge in the code's edge order. Row
-    r carries code edge `order[r]`, on variable `edge_var[r]`.
+    improving. Each side of the graph reads its messages in its own layout
+    (`_layout`): the check layout groups the rows by check degree, a block of
+    (d, count, B) whose slot j holds each check's j-th edge, and the variable
+    layout groups them by variable degree, slot j holding each variable's
+    j-th edge in check order. Row r of the check layout carries code edge
+    `order[r]`, on variable `edge_var[r]`, and row r of the variable layout
+    code edge `var_order[r]`. `var_update` delivers variable-to-check messages
+    in the check layout and `check_update` check-to-variable messages in the
+    variable layout, each by one `np.take` at its end.
 
     The check update runs in the phi domain: phi(x) = -log tanh(x / 2) =
     log1p(2 / expm1(x)) is its own inverse, and an outgoing magnitude is phi
@@ -416,36 +456,37 @@ class SumProduct:
     benchmark that halves the bit errors, a change of algorithm rather than
     of rounding.
 
-    Check sums add slot by slot and variable sums in check order, so every
-    sum runs in a fixed order.
+    Every sum runs in a fixed order: a check's sums slot by slot, and a
+    variable's extrinsic from zero through its edges in check order, the
+    order of a sparse product over the variable's row of the edge list. The
+    syndrome XORs each check's decisions slot by slot in the check layout.
     """
 
     def __init__(self, code: LdpcCode):
-        from scipy import sparse
-
-        e = code.n_edges
-        chk_deg = np.bincount(code.edge_chk, minlength=code.m)
-        deg = chk_deg[code.edge_chk]
-        slot = np.arange(e) - (np.cumsum(chk_deg) - chk_deg)[code.edge_chk]
-        self.order = np.lexsort((code.edge_chk, slot, deg))  # by degree, slot, check
-        degs, rows = np.unique(deg, return_counts=True)
-        # (first row, end row, degree) of each degree's block
-        self.blocks = [(hi - r, hi, d) for d, r, hi in zip(degs, rows, np.cumsum(rows))]
+        self.n, self.m = code.n, code.m
+        self.order, self.blocks, self.chk_rank, self.chk_free = _layout(code.edge_chk, code.m)
+        self.var_order, self.var_blocks, self.var_rank, self.var_free = _layout(
+            code.edge_var, code.n)
         self.edge_var = code.edge_var[self.order]
-        # explicit indptr/indices: scipy keeps each variable's edges in check order
-        by_var = np.argsort(self.order)[np.argsort(code.edge_var, kind="stable")]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(code.edge_var, minlength=code.n))))
-        self.to_var = sparse.csr_matrix((np.ones(e, DTYPE), by_var, indptr), shape=(code.n, e))
+        # the variables by degree then index, the rows of the variable side's
+        # sums; None when that is the code's own order, as PEG builds it
+        nodes = np.argsort(self.var_rank)
+        self.var_sorted = None if np.array_equal(nodes, np.arange(code.n)) else nodes
+        self.to_check = np.argsort(self.var_order)[self.order]
+        self.to_var = np.argsort(self.order)[self.var_order]
 
     def fresh_messages(self, batch: int) -> np.ndarray:
         """Zero check-to-variable messages for a batch of frames."""
         return np.zeros((self.order.size, batch), DTYPE)
 
     def check_update(self, v2c: np.ndarray) -> np.ndarray:
-        """Leave-one-out combination at every check node, in the phi domain."""
+        """Leave-one-out combination at every check node, in the phi domain:
+        variable-to-check messages in the check layout in, check-to-variable
+        messages in the variable layout out."""
         v2c = np.ascontiguousarray(v2c, dtype=DTYPE)  # the blocks below are views
         neg = v2c < 0
-        f = _phi(np.clip(np.abs(v2c), _MSG_MIN, _MSG_MAX))
+        f = np.abs(v2c)
+        _phi(np.clip(f, _MSG_MIN, _MSG_MAX, out=f))
         out = np.empty_like(f)
         for lo, hi, d in self.blocks:
             fb = f[lo:hi].reshape(d, -1, f.shape[1])
@@ -462,29 +503,70 @@ class SumProduct:
             odd = neg[lo:hi].reshape(fb.shape)
             np.logical_xor(np.logical_xor.reduce(odd, axis=0), odd, out=odd)
         _phi(np.clip(out, _SUM_MIN, _SUM_MAX, out=out))
-        # branch-free: an even count of negative inputs takes the sign of +0.5
-        return np.copysign(out, np.subtract(DTYPE(0.5), neg, out=f), out=out)
+        # every magnitude is positive, so an odd count of negative inputs sets the sign bit
+        sign = np.left_shift(neg, 31, out=f.view(np.uint32), dtype=np.uint32)
+        np.bitwise_xor(out.view(np.uint32), sign, out=out.view(np.uint32))
+        # into f's buffer, so no fourth (edges, B) array is live; mode "clip",
+        # a no-op on these rows, keeps `take` from buffering its `out`
+        return np.take(out, self.to_var, axis=0, out=f, mode="clip")
 
     def var_update(self, total: np.ndarray, c2v: np.ndarray) -> np.ndarray:
-        """Variable-to-check messages from the (B, n) totals, each variable's
-        channel LLR plus all its incoming messages, and those messages."""
-        return np.ascontiguousarray(total.T)[self.edge_var] - c2v
+        """Variable-to-check messages, in the check layout, from the (B, n)
+        totals, each variable's channel LLR plus all its incoming messages,
+        and those messages in the variable layout."""
+        t = (np.ascontiguousarray(total.T) if self.var_sorted is None
+             else np.take(total.T, self.var_sorted, axis=0))
+        out = np.empty_like(c2v)
+        base = self.var_free
+        for lo, hi, d in self.var_blocks:
+            nodes = (hi - lo) // d
+            shape = (d, nodes, c2v.shape[1])
+            np.subtract(t[base:base + nodes], c2v[lo:hi].reshape(shape),
+                        out=out[lo:hi].reshape(shape))
+            base += nodes
+        return np.take(out, self.to_check, axis=0)
 
     def extrinsic(self, c2v: np.ndarray) -> np.ndarray:
-        """Per-variable sum of incoming check messages, (B, n)."""
-        return (self.to_var @ c2v).T
+        """Per-variable sum of incoming check messages, (B, n), from the
+        messages in the variable layout."""
+        s = np.zeros((self.n, c2v.shape[1]), DTYPE)
+        base = self.var_free
+        for lo, hi, d in self.var_blocks:
+            nodes = (hi - lo) // d
+            acc = s[base:base + nodes]
+            for j in range(d):
+                np.add(acc, c2v[lo + j * nodes:lo + (j + 1) * nodes], out=acc)
+            base += nodes
+        return (s if self.var_sorted is None else np.take(s, self.var_rank, axis=0)).T
+
+    def syndrome(self, bits: np.ndarray) -> np.ndarray:
+        """Parity of every check on (B, n) hard decisions of zeros and ones
+        (or booleans), (B, m), unchecked."""
+        b = np.take(bits.T, self.edge_var, axis=0)
+        s = np.zeros((self.m, bits.shape[0]), b.dtype)
+        base = self.chk_free
+        for lo, hi, d in self.blocks:
+            nodes = (hi - lo) // d
+            np.bitwise_xor.reduce(b[lo:hi].reshape(d, nodes, -1), axis=0,
+                                  out=s[base:base + nodes])
+            base += nodes
+        return np.take(s, self.chk_rank, axis=0).T
 
 
 class _ActiveSet:
     """Decoder state of B rows. A row that satisfies every check leaves with its
     extrinsic, posterior and decisions frozen, so no row depends on its batch
-    mates; check messages are kept for the live rows only. Posterior and
-    decisions are written as rows leave, and for the rows still live by
-    `finish`."""
+    mates. Check messages and extrinsics are kept for the live rows only,
+    compacted with `np.take` as rows leave. Each `run` forms the live rows'
+    posterior and decisions once, for the syndrome, and keeps them only for
+    the rows that leave; a leaving row's extrinsic is written then too.
+    `extrinsic` writes the live rows' extrinsics, and `finish` their
+    posterior and decisions."""
 
     def __init__(self, code: LdpcCode, batch: int):
-        self.code = code
-        self.c2v = code.kernel.fresh_messages(batch)
+        self.kernel = code.kernel
+        self.c2v = self.kernel.fresh_messages(batch)
+        self.live_ext = np.zeros((batch, code.n), DTYPE)
         self.ext = np.zeros((batch, code.n), DTYPE)
         self.post = np.zeros((batch, code.n), DTYPE)
         self.bits = np.zeros((batch, code.n), dtype=np.uint8)
@@ -494,26 +576,34 @@ class _ActiveSet:
     def run(self, llrs: np.ndarray, passes: int) -> np.ndarray:
         """`passes` flooding iterations on the live rows of the (B, n) LLRs,
         then their syndrome. Returns the rows that leave."""
-        kern, live = self.code.kernel, self.live
-        c2v, ext, llr = self.c2v, self.ext[live], llrs[live]
+        kern, live = self.kernel, self.live
+        c2v, ext, llr = self.c2v, self.live_ext, np.take(llrs, live, axis=0)
         for _ in range(passes):
             c2v = kern.check_update(kern.var_update(llr + ext, c2v))
             ext = kern.extrinsic(c2v)
         post = llr + ext
-        bits = (post < 0).astype(np.uint8)
-        ok = self.code.is_codeword(bits)
-        self.ext[live], left = ext, live[ok]
+        bits = post < 0
+        ok = ~kern.syndrome(bits).any(axis=1)
+        left = live[ok]
         if left.size:
-            self.post[left], self.bits[left], self.ok[left] = post[ok], bits[ok], True
-            c2v, self.live = c2v[:, ~ok], live[~ok]
-        self.c2v = c2v
+            self.ext[left], self.post[left], self.bits[left] = ext[ok], post[ok], bits[ok]
+            self.ok[left] = True
+            keep = np.flatnonzero(~ok)
+            c2v, ext, self.live = np.take(c2v, keep, axis=1), ext[keep], live[keep]
+        self.c2v, self.live_ext = c2v, ext
         return left
+
+    def extrinsic(self) -> np.ndarray:
+        """Every row's extrinsic, (B, n): the frozen one of a row that left,
+        the last `run`'s of a live row."""
+        self.ext[self.live] = self.live_ext
+        return self.ext
 
     def finish(self, llrs: np.ndarray):
         """Write the posterior and decisions of the rows still live, as the
         last `run` on the same LLRs formed them."""
         live = self.live
-        self.post[live] = llrs[live] + self.ext[live]
+        self.post[live] = llrs[live] + self.live_ext
         self.bits[live] = self.post[live] < 0
 
 

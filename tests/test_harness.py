@@ -242,29 +242,35 @@ def test_steady_state_sweep_takes_no_page_faults():
 
 
 def test_sweep_process_loads_scipy_only_when_a_code_is_read():
-    # an uncoded sweep and a code's construction load no scipy module; the
-    # code's first syndrome or 4-cycle census loads scipy.sparse
+    # an uncoded sweep, a code's construction, a coded sweep that decodes with
+    # it and its syndrome load no scipy module; the 4-cycle census, which
+    # reads the code's sparse matrix, loads scipy.sparse
     src = os.path.dirname(os.path.dirname(chemp.__file__))  # this chemp, not an installed one
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    for first_read in ("is_codeword(np.zeros(48))", "four_cycles()"):
-        code = textwrap.dedent(f"""
-            import sys
-            import numpy as np
-            import chemp, chemp.cli
-            from chemp.harness import SimConfig, run_uncoded_sweep
-            def loaded():
-                return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-            run_uncoded_sweep(SimConfig(n_antennas=8, n_users=4, max_trials=20, batch_size=10))
-            print(loaded())
-            code = chemp.build_code(chemp.regular_profile(), 48, np.random.default_rng(0))
-            print(loaded())
-            code.{first_read}
-            print("scipy.sparse" in sys.modules)
-        """)
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=env, timeout=120)
-        assert out.stdout.split("\n")[:3] == ["[]", "[]", "True"], first_read
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import chemp, chemp.cli
+        from chemp.harness import SimConfig, run_coded_sweep, run_uncoded_sweep
+        def loaded():
+            return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+        run_uncoded_sweep(SimConfig(n_antennas=8, n_users=4, max_trials=20, batch_size=10))
+        print(loaded())
+        code = chemp.build_code(chemp.regular_profile(), 48, np.random.default_rng(0))
+        print(loaded())
+        cfg = SimConfig(n_antennas=8, n_users=4, snr_db=(4.0,), receiver="joint",
+                        code_spec="regular-3-6", block_length=48, max_trials=4, batch_size=2,
+                        target_errors=10**9)
+        assert run_coded_sweep(cfg, code=code).points[0].frames == 4
+        code.is_codeword(np.zeros(48))
+        print(loaded())
+        code.four_cycles()
+        print("scipy.sparse" in sys.modules)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env, timeout=120)
+    assert out.stdout.split("\n")[:4] == ["[]", "[]", "[]", "True"]
 
 
 @pytest.mark.skipif(not harness._openblas_setters(), reason="no OpenBLAS library found")

@@ -227,6 +227,25 @@ def test_syndrome_batched(small_regular):
     np.testing.assert_array_equal(ok, [True, True, False, True])
 
 
+def test_syndrome_and_encode_take_only_bits(small_regular):
+    code = small_regular
+    # a 2 once wrapped to an even parity and passed every check
+    with pytest.raises(ValueError, match="0 or 1"):
+        code.is_codeword(np.full(code.n, 2))
+    with pytest.raises(ValueError, match="0 or 1"):
+        code.syndrome(np.full((2, code.n), 0.5))
+    with pytest.raises(ValueError, match="0 or 1"):
+        encode(code, np.full(code.k, 257))  # wraps to 1 in uint8
+    with pytest.raises(ValueError, match="length"):
+        code.syndrome(np.zeros(code.n + 1))
+    # any leading axes
+    words = encode(code, np.random.default_rng(41).integers(0, 2, size=(2, 3, code.k)))
+    words[1, 2, 5] ^= 1
+    assert code.syndrome(words).shape == (2, 3, code.m)
+    np.testing.assert_array_equal(code.is_codeword(words), [[True] * 3, [True, True, False]])
+    assert code.is_codeword(words[0, 0]) is True
+
+
 def test_write_alist_exact_text(tmp_path):
     # n m, max column and row degrees, the degree lists, then each column's
     # and each row's 1-based neighbours, unpadded
@@ -355,18 +374,26 @@ class _CodeOrderKernel:
         return (self.to_var @ c2v.T).T
 
 
+def _layout_maps(kern):
+    """Maps between (B, n_edges) messages in code order and the kernel's
+    (n_edges, B) rows, in the check layout or, with `var`, the variable layout."""
+
+    def rows(msgs, var=False):
+        return np.ascontiguousarray(msgs[:, kern.var_order if var else kern.order].T)
+
+    def code_order(msgs, var=False):
+        out = np.empty(msgs.shape[::-1], msgs.dtype)
+        out[:, kern.var_order if var else kern.order] = msgs.T
+        return out
+
+    return rows, code_order
+
+
 def test_kernel_matches_float64_phi_reference(irregular_1000):
     code = irregular_1000
     assert set(code.check_degree_histogram()) == {6, 12, 18}
     kern, ref = code.kernel, _CodeOrderKernel(code)
-
-    def rows(msgs):  # (B, n_edges) in code order -> the kernel's (n_edges, B) rows
-        return np.ascontiguousarray(msgs[:, kern.order].T)
-
-    def code_order(msgs):  # the inverse
-        out = np.empty(msgs.shape[::-1], msgs.dtype)
-        out[:, kern.order] = msgs.T
-        return out
+    rows, code_order = _layout_maps(kern)
 
     rng = np.random.default_rng(29)
     b = 12
@@ -377,7 +404,7 @@ def test_kernel_matches_float64_phi_reference(irregular_1000):
             llrs = rng.normal(0.0, 6.0, (b, code.n)).astype(np.float32)
             v2c = kern.var_update(llrs + kern.extrinsic(c2v), c2v)
             assert v2c.dtype == np.float32
-            assert np.array_equal(code_order(v2c), ref.var_update(llrs, code_order(c2v)))
+            assert np.array_equal(code_order(v2c), ref.var_update(llrs, code_order(c2v, True)))
             # saturating, tiny and zero messages hit every clip
             v = code_order(v2c)
             v[:, ::5] *= 30.0
@@ -391,13 +418,53 @@ def test_kernel_matches_float64_phi_reference(irregular_1000):
             assert np.sum((v != 0) & (np.abs(v) < 2e-30)) > 0
             c2v = kern.check_update(rows(v))
             want = ref.check_update(v)
-            got = code_order(c2v)
+            got = code_order(c2v, True)
             assert c2v.dtype == np.float32 and np.all(np.isfinite(got))
             # float32 accuracy, 1e-5 of the larger of the message and 1, up to
             # float64's range: no early saturation
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
             assert np.abs(want).max() > 30.0
             assert np.array_equal(kern.extrinsic(c2v), ref.extrinsic(got))
+
+
+def _small_codes():
+    """Random small codes, each with a variable on no check, a variable on
+    one check, a check on one variable and a check on none."""
+    rng = np.random.default_rng(31)
+    for m, n in ((5, 9), (8, 16), (12, 20), (12, 20)):
+        h = (rng.random((m, n)) < 0.35).astype(np.uint8)
+        h[:, :2] = 0
+        h[rng.integers(2, m), 1] = 1
+        h[0] = 0
+        h[0, rng.integers(2, n)] = 1
+        h[1] = 0
+        yield code_from_parity_check(h)
+
+
+def test_kernel_matches_code_order_reference_on_small_codes():
+    rng = np.random.default_rng(37)
+    for code in _small_codes():
+        assert {0, 1} <= set(np.bincount(code.edge_var, minlength=code.n))
+        assert {0, 1} <= set(np.bincount(code.edge_chk, minlength=code.m))
+        kern, ref = code.kernel, _CodeOrderKernel(code)
+        rows, code_order = _layout_maps(kern)
+        b = 7
+        llrs = rng.normal(0.0, 3.0, (b, code.n)).astype(np.float32)
+        c2v = rng.normal(0.0, 3.0, (b, code.n_edges)).astype(np.float32)
+        # variable sums and messages bit for bit, the check update to float32 accuracy
+        ext = kern.extrinsic(rows(c2v, var=True))
+        assert ext.dtype == np.float32 and np.array_equal(ext, ref.extrinsic(c2v))
+        assert not ext[:, 0].any()
+        v2c = kern.var_update(llrs + ext, rows(c2v, var=True))
+        assert np.array_equal(code_order(v2c), ref.var_update(llrs, c2v))
+        got = code_order(kern.check_update(v2c), var=True)
+        want = ref.check_update(code_order(v2c))
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+        np.testing.assert_array_equal(np.signbit(got), want < 0)
+        bits = rng.integers(0, 2, (b, code.n), dtype=np.uint8)
+        syn = code.syndrome(bits)
+        assert syn.dtype == np.uint8 and not syn[:, 1].any()
+        np.testing.assert_array_equal(syn, code.parity_check.dot(bits.T).T % 2)
 
 
 def test_check_update_leave_one_out():
@@ -422,7 +489,9 @@ def test_var_update_excludes_own_message():
     # the degree-2 block holds slot 0 of both checks, then slot 1
     np.testing.assert_array_equal(kern.order, [0, 2, 1, 3])
     c2v_code = np.array([0.3, 0.7, -0.4, 0.1])  # edges sorted by (check, variable)
-    c2v = c2v_code[kern.order, None]
+    # the variable layout holds variable 0's edge, variable 2's, then variable 1's two
+    np.testing.assert_array_equal(kern.var_order, [0, 3, 1, 2])
+    c2v = c2v_code[kern.var_order, None]
     rows = kern.var_update(llrs + kern.extrinsic(c2v), c2v)
     out = np.empty((1, 4))
     out[0, kern.order] = rows[:, 0]
@@ -458,4 +527,12 @@ def test_kernel_belongs_to_its_code():
             slots = chk[lo:hi].reshape(d, -1)
             assert np.all(slots == slots[0])  # one check per column
             assert np.all(np.bincount(code.edge_chk)[slots[0]] == d)
+        assert np.array_equal(np.sort(kern.var_order), np.arange(code.n_edges))
+        var = code.edge_var[kern.var_order]
+        for lo, hi, d in kern.var_blocks:
+            slots = var[lo:hi].reshape(d, -1)
+            assert np.all(slots == slots[0])  # one variable per column
+            assert np.all(np.bincount(code.edge_var, minlength=code.n)[slots[0]] == d)
+            # each variable's edges in check order
+            assert np.all(np.diff(code.edge_chk[kern.var_order[lo:hi]].reshape(d, -1), axis=0) > 0)
         del code, kern
