@@ -135,7 +135,7 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
     n_users, lead = _framing(obs, code)
     engine = MpdEngine(obs)
     shape = lead + (n_users,)
-    dec = _ActiveSet(code, int(np.prod(shape, dtype=int)))
+    dec = _ActiveSet(code, int(np.prod(shape, dtype=int)), soft=True)
     rounds = np.full(dec.ok.shape, cfg.outer_iterations)
 
     p = engine.uniform_beliefs()

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import as_bits
 from .mpd import DTYPE
 
 __all__ = [
@@ -166,7 +167,7 @@ class LdpcCode:
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
         """Parity of every check, (..., m), on words of zeros and ones (..., n)."""
-        bits = _binary(bits, "words")
+        bits = as_bits(bits, "words")
         if bits.ndim == 0 or bits.shape[-1] != self.n:
             raise ValueError(f"words must have length n = {self.n} on their last axis")
         s = self.kernel.syndrome(bits.astype(np.uint8, copy=False).reshape(-1, self.n))
@@ -327,10 +328,9 @@ def _farthest(words: np.ndarray, roots: np.ndarray, pool: np.ndarray) -> np.ndar
 def code_from_parity_check(h: np.ndarray) -> LdpcCode:
     """Derive the systematic encoder from a dense parity-check matrix of
     zeros and ones, by Gauss-Jordan elimination over GF(2)."""
-    h = np.asarray(h)
-    # checked before the cast to uint8, which would wrap other values
-    if h.ndim != 2 or not np.isin(h, (0, 1)).all():
-        raise ValueError("a parity-check matrix is 2-D and holds only zeros and ones")
+    h = as_bits(h, "parity-check entries")
+    if h.ndim != 2:
+        raise ValueError("a parity-check matrix is 2-D")
     m, n = h.shape
     edge_chk, edge_var = np.nonzero(h)
     dense = h.astype(np.uint8)
@@ -359,18 +359,9 @@ def code_from_parity_check(h: np.ndarray) -> LdpcCode:
                     pivot_cols=pivot_cols, info_cols=info_cols, encode_mat=encode_mat)
 
 
-def _binary(bits, what: str) -> np.ndarray:
-    """`bits` as an array, checked to hold only zeros and ones before any
-    cast to uint8 could wrap other values."""
-    bits = np.asarray(bits)
-    if not ((bits == 0) | (bits == 1)).all():
-        raise ValueError(f"{what} must be 0 or 1")
-    return bits
-
-
 def encode(code: LdpcCode, info_bits: np.ndarray) -> np.ndarray:
     """Systematic encoding; info bits appear verbatim at the info positions."""
-    u = _binary(info_bits, "info bits").astype(np.uint8, copy=False)
+    u = as_bits(info_bits, "info bits").astype(np.uint8, copy=False)
     if u.ndim == 0 or u.shape[-1] != code.k:
         raise ValueError("info word length must equal k")
     # a float32 product runs in BLAS and is exact: each parity sum counts at
@@ -468,10 +459,8 @@ class SumProduct:
         self.var_order, self.var_blocks, self.var_rank, self.var_free = _layout(
             code.edge_var, code.n)
         self.edge_var = code.edge_var[self.order]
-        # the variables by degree then index, the rows of the variable side's
-        # sums; None when that is the code's own order, as PEG builds it
-        nodes = np.argsort(self.var_rank)
-        self.var_sorted = None if np.array_equal(nodes, np.arange(code.n)) else nodes
+        # the variables by degree then index, the rows of the variable side's sums
+        self.var_sorted = np.argsort(self.var_rank)
         self.to_check = np.argsort(self.var_order)[self.order]
         self.to_var = np.argsort(self.order)[self.var_order]
 
@@ -514,8 +503,7 @@ class SumProduct:
         """Variable-to-check messages, in the check layout, from the (B, n)
         totals, each variable's channel LLR plus all its incoming messages,
         and those messages in the variable layout."""
-        t = (np.ascontiguousarray(total.T) if self.var_sorted is None
-             else np.take(total.T, self.var_sorted, axis=0))
+        t = np.take(total.T, self.var_sorted, axis=0)
         out = np.empty_like(c2v)
         base = self.var_free
         for lo, hi, d in self.var_blocks:
@@ -537,7 +525,7 @@ class SumProduct:
             for j in range(d):
                 np.add(acc, c2v[lo + j * nodes:lo + (j + 1) * nodes], out=acc)
             base += nodes
-        return (s if self.var_sorted is None else np.take(s, self.var_rank, axis=0)).T
+        return np.take(s, self.var_rank, axis=0).T
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
         """Parity of every check on (B, n) hard decisions of zeros and ones
@@ -555,20 +543,20 @@ class SumProduct:
 
 class _ActiveSet:
     """Decoder state of B rows. A row that satisfies every check leaves with its
-    extrinsic, posterior and decisions frozen, so no row depends on its batch
-    mates. Check messages and extrinsics are kept for the live rows only,
-    compacted with `np.take` as rows leave. Each `run` forms the live rows'
-    posterior and decisions once, for the syndrome, and keeps them only for
-    the rows that leave; a leaving row's extrinsic is written then too.
-    `extrinsic` writes the live rows' extrinsics, and `finish` their
-    posterior and decisions."""
+    decisions frozen, and with its extrinsic and posterior if `soft`, so no row
+    depends on its batch mates. Check messages and extrinsics are kept for the
+    live rows only, compacted with `np.take` as rows leave. Each `run` forms
+    the live rows' posterior and decisions once, for the syndrome, and keeps
+    them only for the rows that leave. Without `soft`, `ext` and `post` are
+    None and no extrinsic or posterior is stored. `extrinsic` writes the live
+    rows' extrinsics, and `finish` their decisions and posterior."""
 
-    def __init__(self, code: LdpcCode, batch: int):
+    def __init__(self, code: LdpcCode, batch: int, soft: bool = False):
         self.kernel = code.kernel
         self.c2v = self.kernel.fresh_messages(batch)
         self.live_ext = np.zeros((batch, code.n), DTYPE)
-        self.ext = np.zeros((batch, code.n), DTYPE)
-        self.post = np.zeros((batch, code.n), DTYPE)
+        self.ext = np.zeros((batch, code.n), DTYPE) if soft else None
+        self.post = np.zeros((batch, code.n), DTYPE) if soft else None
         self.bits = np.zeros((batch, code.n), dtype=np.uint8)
         self.ok = np.zeros(batch, dtype=bool)
         self.live = np.arange(batch)
@@ -586,7 +574,9 @@ class _ActiveSet:
         ok = ~kern.syndrome(bits).any(axis=1)
         left = live[ok]
         if left.size:
-            self.ext[left], self.post[left], self.bits[left] = ext[ok], post[ok], bits[ok]
+            if self.ext is not None:
+                self.ext[left], self.post[left] = ext[ok], post[ok]
+            self.bits[left] = bits[ok]
             self.ok[left] = True
             keep = np.flatnonzero(~ok)
             c2v, ext, self.live = np.take(c2v, keep, axis=1), ext[keep], live[keep]
@@ -595,16 +585,18 @@ class _ActiveSet:
 
     def extrinsic(self) -> np.ndarray:
         """Every row's extrinsic, (B, n): the frozen one of a row that left,
-        the last `run`'s of a live row."""
+        the last `run`'s of a live row; `soft` state only."""
         self.ext[self.live] = self.live_ext
         return self.ext
 
     def finish(self, llrs: np.ndarray):
-        """Write the posterior and decisions of the rows still live, as the
+        """Write the decisions and posterior of the rows still live, as the
         last `run` on the same LLRs formed them."""
         live = self.live
-        self.post[live] = llrs[live] + self.live_ext
-        self.bits[live] = self.post[live] < 0
+        post = llrs[live] + self.live_ext
+        self.bits[live] = post < 0
+        if self.post is not None:
+            self.post[live] = post
 
 
 def bp_decode_batch(code: LdpcCode, llrs: np.ndarray, max_iters: int):

@@ -1,5 +1,5 @@
 """Uplink system model: complex channel draws, channel uses, the Hermitian
-Gram, real stacking, QPSK mapping.
+Gram, real stacking, QPSK mapping and its check that bits are 0 or 1.
 
 K single-antenna users send to an N-antenna base station, y_c = H_c x_c + w_c
 with H_c of shape (N, K), x_c = x_r + j x_i a QPSK vector with components in
@@ -136,9 +136,15 @@ def noise_variance(snr_db: float, n_users: int) -> float:
     return n_users / 10.0 ** (snr_db / 10.0)
 
 
-def modulate(bits: np.ndarray) -> np.ndarray:
-    """Map bits {0,1} to antipodal components: 0 -> +1, 1 -> -1."""
+def as_bits(bits, what: str = "bits") -> np.ndarray:
+    """`bits` as an array, checked to hold only zeros and ones before any
+    cast could wrap other values."""
     bits = np.asarray(bits)
     if not ((bits == 0) | (bits == 1)).all():
-        raise ValueError("bits must be 0 or 1")
-    return 1.0 - 2.0 * bits.astype(float)
+        raise ValueError(f"{what} must be 0 or 1 (only zeros and ones)")
+    return bits
+
+
+def modulate(bits: np.ndarray) -> np.ndarray:
+    """Map bits {0,1} to antipodal components: 0 -> +1, 1 -> -1."""
+    return 1.0 - 2.0 * as_bits(bits).astype(float)
