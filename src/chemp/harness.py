@@ -5,12 +5,13 @@ Determinism contract: every random draw of a batch is keyed by
 SeedSequence(master_seed, spawn_key=(snr_point_index, batch_index)) and made
 in frame order by the one batch routine, `_batch`: info bits (coded),
 channels, pilots (receivers named "-estimated"), then symbols (uncoded) and
-data noise. One loop, `_accumulate`, folds the batches strictly in index
-order and holds the stopping rule, so results are bit-identical for any
-worker count: one worker runs each batch in the calling thread, more run
-them in one process pool per sweep. A sweep stops a point once the target
-bit-error count is collected or the trial budget is exhausted, whichever
-happens first.
+data noise. It returns one record of named counts, `_Counts`, with the same
+fields for every receiver. One loop, `_accumulate`, sums the records field
+by field strictly in index order and holds the stopping rule, so results
+are bit-identical for any worker count: one worker runs each batch in the
+calling thread, more run them in one process pool per sweep. A sweep stops
+a point once the target bit-error count is collected or the trial budget is
+exhausted, whichever happens first.
 
 Heap policy: a batch allocates tens of MB of arrays (channel draw, Gram,
 detector state) and frees them when it returns. Under glibc's default,
@@ -52,7 +53,7 @@ import hashlib
 import json
 import platform
 from concurrent.futures import Executor, ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -178,8 +179,7 @@ class BerCurve:
             json.dump(doc, f, indent=2, sort_keys=True)
 
 
-def _ci_halfwidth(errors: int, bits: int, codewords: int | None = None,
-                  sq_errors: int = 0) -> float:
+def _ci_halfwidth(errors: int, bits: int, codewords: int = 0, sq_errors: int = 0) -> float:
     """95% half-width of the BER errors / bits.
 
     Uncoded bits fail independently: the binomial half-width. Coded errors
@@ -191,7 +191,7 @@ def _ci_halfwidth(errors: int, bits: int, codewords: int | None = None,
     """
     if bits == 0:
         return 0.0
-    if codewords is None or codewords < 2:
+    if codewords < 2:
         p = errors / bits
         return 1.96 * np.sqrt(max(p * (1.0 - p), 0.0) / bits)
     m = bits / codewords
@@ -199,18 +199,38 @@ def _ci_halfwidth(errors: int, bits: int, codewords: int | None = None,
     return 1.96 * np.sqrt(max(spread, 0.0) / codewords)
 
 
-def _make_point(snr_db, n_users, bits, errors, trials, frame_errors=None,
-                sq_errors=0) -> BerPoint:
-    """A sweep point from its summed batch counts; a coded point counts frame
-    errors, over `trials` frames of `n_users` codewords each."""
-    frames = None if frame_errors is None else trials
-    codewords = None if frames is None else frames * n_users
+@dataclass(frozen=True)
+class _Counts:
+    """What a batch counts, or the batches of a point summed field by field.
+
+    A coded batch also counts its codewords (one per user and frame), the
+    frames with a failed codeword, and the sum over codewords of the squared
+    info-bit error count; an uncoded batch leaves those at zero.
+    """
+
+    bits: int = 0
+    errors: int = 0
+    trials: int = 0
+    codewords: int = 0
+    frame_errors: int = 0
+    sq_errors: int = 0
+
+    def __add__(self, other: "_Counts") -> "_Counts":
+        return _Counts(**{f.name: getattr(self, f.name) + getattr(other, f.name)
+                          for f in fields(self)})
+
+
+def _make_point(snr_db, c: _Counts) -> BerPoint:
+    """A sweep point from its summed batch counts; a coded point, which counts
+    codewords, also gets its frames (the trials) and frame errors."""
+    coded = c.codewords > 0
     return BerPoint(
-        snr_db=float(snr_db), bits=int(bits), errors=int(errors),
-        ber=float(errors / bits if bits else 0.0),
-        ci_halfwidth=float(_ci_halfwidth(errors, bits, codewords, sq_errors)),
-        trials=int(trials), reliable=bool(errors >= 10), frames=frames,
-        frame_errors=frame_errors, fer=(frame_errors / frames if frames else None),
+        snr_db=float(snr_db), bits=c.bits, errors=c.errors,
+        ber=float(c.errors / c.bits if c.bits else 0.0),
+        ci_halfwidth=float(_ci_halfwidth(c.errors, c.bits, c.codewords, c.sq_errors)),
+        trials=c.trials, reliable=bool(c.errors >= 10), frames=c.trials if coded else None,
+        frame_errors=c.frame_errors if coded else None,
+        fer=c.frame_errors / c.trials if coded else None,
     )
 
 
@@ -263,9 +283,7 @@ def _batch(code: LdpcCode | None, cfg: SimConfig, point_idx: int, batch_idx: int
     Draws in frame order: the info bits of a coded frame, the channels, the K
     pilot uses of a receiver named "-estimated", then the data uses: the
     symbols of an uncoded frame and the data noise. A frame is one channel
-    and its uses (one, the data uses or n/2). Returns (bits, errors,
-    trials), and for a coded batch also the frame errors and the sum over
-    codewords of the squared info-bit error count.
+    and its uses (one, the data uses or n/2). Returns its `_Counts`.
     """
     rng = _batch_rng(cfg.seed, point_idx, batch_idx)
     n, k = cfg.n_antennas, cfg.n_users
@@ -292,14 +310,16 @@ def _batch(code: LdpcCode | None, cfg: SimConfig, point_idx: int, batch_idx: int
             xh = map_oracle(obs)
         else:
             xh = mmse_detect(obs)[0]
-        return x.size, int(np.sum(xh != x)), n_trials
+        return _Counts(bits=x.size, errors=int(np.sum(xh != x)), trials=n_trials)
     if cfg.receiver.startswith("joint"):
         res = joint_detect_decode(obs, code, cfg.joint, cfg.mpd)
     else:
         res = detect_then_decode(obs, code, cfg.mpd, cfg.decoder_iterations)
     per_codeword = np.sum(res.info_bits != info, axis=-1)
-    return (info.size, int(per_codeword.sum()), n_trials,
-            int(np.any(per_codeword, axis=-1).sum()), int(np.sum(per_codeword ** 2)))
+    return _Counts(bits=info.size, errors=int(per_codeword.sum()), trials=n_trials,
+                   codewords=per_codeword.size,
+                   frame_errors=int(np.any(per_codeword, axis=-1).sum()),
+                   sq_errors=int(np.sum(per_codeword ** 2)))
 
 
 # glibc mallopt(3) parameters and the heap policy's values (module docstring)
@@ -353,15 +373,14 @@ def _accumulate(cfg: SimConfig, point_idx: int, batch_fn, pool, workers: int):
     worker processes, and the interpreter joins them at exit."""
     takes = [min(cfg.batch_size, cfg.max_trials - done)
              for done in range(0, cfg.max_trials, cfg.batch_size)]
-    totals = None
+    totals = _Counts()
     pending = {}
     try:
         for bi in range(len(takes)):
             for bj in range(bi + len(pending), min(bi + 2 * workers, len(takes))):
                 pending[bj] = pool.submit(batch_fn, cfg, point_idx, bj, takes[bj])
-            part = pending.pop(bi).result()
-            totals = part if totals is None else tuple(a + b for a, b in zip(totals, part))
-            if totals[1] >= cfg.target_errors:
+            totals += pending.pop(bi).result()
+            if totals.errors >= cfg.target_errors:
                 break
     except BaseException:
         pool.shutdown(wait=False, cancel_futures=True)
@@ -375,6 +394,8 @@ def _sweep(cfg: SimConfig, workers: int, code: LdpcCode | None = None) -> BerCur
     """The sweep body of both sweeps, uncoded when `code` is None: one point
     per SNR, all on one executor, under the heap and thread policies in every
     process; the caller's thread counts come back when it returns."""
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got workers={workers}")
     batch_fn = functools.partial(_batch, code)
     restore = _set_process_policies(cfg.receiver)
     try:
@@ -382,7 +403,7 @@ def _sweep(cfg: SimConfig, workers: int, code: LdpcCode | None = None) -> BerCur
                                     initargs=(cfg.receiver,))
                 if workers > 1 else _InThisThread())
         with pool:
-            points = [_make_point(snr, cfg.n_users, *_accumulate(cfg, pi, batch_fn, pool, workers))
+            points = [_make_point(snr, _accumulate(cfg, pi, batch_fn, pool, workers))
                       for pi, snr in enumerate(cfg.snr_db)]
     finally:
         for setter, count in restore:

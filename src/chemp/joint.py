@@ -248,6 +248,9 @@ def measure_exit_detector(n_antennas: int, n_users: int, snr_db: float,
     measures the extrinsic mutual information of its output LLRs by
     histogram. Returns an array aligned with `prior_info`.
     """
+    if n_channels < 1 or uses_per_channel < 1:
+        raise ValueError("need at least one channel and one use per channel, got "
+                         f"n_channels={n_channels}, uses_per_channel={uses_per_channel}")
     mpd_cfg = mpd_cfg or MpdConfig()
     prior_info = np.atleast_1d(np.asarray(prior_info, dtype=float))
     nv = noise_variance(snr_db, n_users)

@@ -18,10 +18,10 @@ its phi-domain check update, which keeps float64's message range.
 
 A code is its edge list, the (check, variable) positions of the ones of
 its parity-check matrix. The decoder's kernel is built from it on first use,
-in numpy, and computes the syndrome too; the `scipy.sparse` matrix that only
-the 4-cycle census and the alist export read is built on theirs. So
-importing chemp, building a code, encoding, decoding and checking words
-load numpy only.
+in numpy, and computes the syndrome too; the 4-cycle census and the alist
+export read the edge list directly. So importing chemp, building a code,
+encoding, decoding, checking words, counting 4-cycles and exporting load
+numpy only.
 """
 from __future__ import annotations
 
@@ -121,11 +121,12 @@ TABLE_PROFILES: dict[str, DegreeProfile] = {
 
 @dataclass
 class LdpcCode:
-    """An m x n parity-check matrix, held as its edge list, with a systematic
-    encoder derived from it.
+    """An m x n parity-check matrix, held only as its edge list, with a
+    systematic encoder derived from it.
 
     Edge e joins check `edge_chk[e]` and variable `edge_var[e]`; the edges are
-    sorted by check and then by variable, the row-major order of the ones.
+    sorted by check and then by variable, the row-major order of the ones, so
+    a stable sort by variable gives the column-major order.
     """
 
     n: int
@@ -136,14 +137,6 @@ class LdpcCode:
     pivot_cols: np.ndarray
     info_cols: np.ndarray
     encode_mat: np.ndarray  # (rank, k): parity bits = encode_mat @ info mod 2
-
-    @functools.cached_property
-    def parity_check(self):
-        """The parity-check matrix as a uint8 `scipy.sparse` CSR matrix, built on first use."""
-        from scipy import sparse
-
-        ones = np.ones(self.n_edges, dtype=np.uint8)
-        return sparse.csr_matrix((ones, (self.edge_chk, self.edge_var)), shape=(self.m, self.n))
 
     @property
     def n_edges(self) -> int:
@@ -159,10 +152,17 @@ class LdpcCode:
 
     def four_cycles(self) -> int:
         """Number of 4-cycles in the Tanner graph: two checks that share s
-        variables close C(s, 2) of them."""
-        h = self.parity_check.astype(np.int64)
-        shared = (h @ h.T).tocoo()
-        s = shared.data[shared.row < shared.col]
+        variables close C(s, 2) of them. A variable of degree d is shared by
+        the C(d, 2) pairs of its checks, so s is how often a pair occurs."""
+        chk = self.edge_chk[np.argsort(self.edge_var, kind="stable")].astype(np.int64)
+        degs = np.bincount(self.edge_var, minlength=self.n)
+        first = np.cumsum(degs) - degs
+        pairs = [np.empty(0, np.int64)]
+        for d in np.unique(degs[degs > 1]):
+            rows = chk[first[degs == d, None] + np.arange(d)]  # each variable's checks, ascending
+            i, j = np.triu_indices(d, 1)
+            pairs.append((rows[:, i] * self.m + rows[:, j]).ravel())
+        s = np.unique(np.concatenate(pairs), return_counts=True)[1]
         return int((s * (s - 1) // 2).sum())
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
@@ -624,20 +624,13 @@ def bp_decode_batch(code: LdpcCode, llrs: np.ndarray, max_iters: int):
 
 def write_alist(code: LdpcCode, path: str):
     """Write the parity-check matrix in the standard alist text format."""
-    hr = code.parity_check
-    h = hr.tocsc()
-    m, n = h.shape
-    col_deg = np.diff(h.indptr)
-    row_deg = np.diff(hr.indptr)
-    dv, dc = int(col_deg.max()), int(row_deg.max())
-    lines = [f"{n} {m}", f"{dv} {dc}",
-             " ".join(str(int(d)) for d in col_deg),
-             " ".join(str(int(d)) for d in row_deg)]
-    for j in range(n):
-        nbrs = h.indices[h.indptr[j]:h.indptr[j + 1]] + 1
-        lines.append(" ".join(str(int(i)) for i in np.sort(nbrs)))
-    for i in range(m):
-        nbrs = hr.indices[hr.indptr[i]:hr.indptr[i + 1]] + 1
-        lines.append(" ".join(str(int(j)) for j in np.sort(nbrs)))
+    col_deg = np.bincount(code.edge_var, minlength=code.n)
+    row_deg = np.bincount(code.edge_chk, minlength=code.m)
+    cols = code.edge_chk[np.argsort(code.edge_var, kind="stable")] + 1
+    lines = [f"{code.n} {code.m}", f"{col_deg.max()} {row_deg.max()}",
+             " ".join(map(str, col_deg.tolist())), " ".join(map(str, row_deg.tolist()))]
+    for nbrs in (np.split(cols, np.cumsum(col_deg)[:-1])
+                 + np.split(code.edge_var + 1, np.cumsum(row_deg)[:-1])):
+        lines.append(" ".join(map(str, nbrs.tolist())))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -163,7 +163,8 @@ def test_llr_mse_keys_streams_by_grid_position(tmp_path):
 @pytest.mark.parametrize("argv", [["hardening", "--n-list", "8", "--realizations"],
                                   ["convergence", "--n", "8", "--k", "4", "--trials"],
                                   ["llr-mse", "--n", "8", "--k", "4", "--snr", "8",
-                                   "--trials"]])
+                                   "--trials"],
+                                  ["exit", "--n", "8", "--k", "4", "--uses"]])
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_diagnostics_reject_counts_below_one(tmp_path, argv, count, capsys):
     assert run(tmp_path, *argv, count) == 1

@@ -31,7 +31,7 @@ from chemp import (
 )
 from chemp import harness
 from chemp.estimate import gram_observation_from_pilots, pilot_amplitude, receive_pilots
-from chemp.harness import UNCODED_RECEIVERS, _accumulate, _batch, _ci_halfwidth
+from chemp.harness import UNCODED_RECEIVERS, _accumulate, _batch, _ci_halfwidth, _Counts
 from chemp.joint import bits_to_symbols, joint_detect_decode
 from chemp.ldpc import TABLE_PROFILES, encode
 from chemp.model import draw_channels, noise_variance, transmit
@@ -149,7 +149,15 @@ def test_uncoded_sweep_worker_count_invariance():
 
 def _stub_batch(cfg, point_idx, batch_idx, n_trials):
     # batch b has b + 1 errors in n_trials bits
-    return n_trials, batch_idx + 1, n_trials
+    return _Counts(bits=n_trials, errors=batch_idx + 1, trials=n_trials)
+
+
+def _coded_stub_batch(cfg, point_idx, batch_idx, n_trials):
+    # batch b: b + 1 bit errors, as in `_stub_batch`, and coded counts that
+    # reach any target at once: two codewords a frame, every frame failed
+    return _Counts(bits=n_trials, errors=batch_idx + 1, trials=n_trials,
+                   codewords=2 * n_trials, frame_errors=n_trials,
+                   sq_errors=(batch_idx + 1) ** 2)
 
 
 def accumulate(cfg, batch_fn, workers):
@@ -170,14 +178,36 @@ def test_one_loop_stops_after_the_batch_that_reaches_the_target():
 
     threads = threading.active_count()
     totals = accumulate(cfg, batch, workers=1)
-    assert totals == (30, 6, 30)
+    assert totals == _Counts(bits=30, errors=6, trials=30)
     # one worker: in this thread, with no thread started, and no batch after batch 2
     assert ran == [(0, True, threads), (1, True, threads), (2, True, threads)]
     assert accumulate(cfg, _stub_batch, workers=2) == totals
     # a target never reached spends the budget, the last batch cut to fit
     budget = dataclasses.replace(cfg, target_errors=10 ** 6)
-    assert accumulate(budget, _stub_batch, workers=1) == (95, 55, 95)
-    assert accumulate(budget, _stub_batch, workers=2) == (95, 55, 95)
+    assert accumulate(budget, _stub_batch, workers=1) == _Counts(bits=95, errors=55, trials=95)
+    assert accumulate(budget, _stub_batch, workers=2) == _Counts(bits=95, errors=55, trials=95)
+
+
+def test_one_loop_sums_coded_counts_and_stops_on_bit_errors():
+    # the frame errors (10 per batch) and the squared errors reach the target
+    # of 6 on batch 0; only the bit errors (1, 3, 6, ...) stop the loop
+    cfg = tiny_cfg(target_errors=6, max_trials=95, batch_size=10)
+    want = _Counts(bits=30, errors=6, trials=30, codewords=60, frame_errors=30,
+                   sq_errors=1 + 4 + 9)
+    assert accumulate(cfg, _coded_stub_batch, workers=1) == want
+    assert accumulate(cfg, _coded_stub_batch, workers=2) == want
+    budget = dataclasses.replace(cfg, target_errors=10 ** 6)
+    assert accumulate(budget, _coded_stub_batch, workers=1) == _Counts(
+        bits=95, errors=55, trials=95, codewords=190, frame_errors=95,
+        sq_errors=sum(b * b for b in range(1, 11)))
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_a_sweep_needs_a_worker(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_uncoded_sweep(tiny_cfg(), workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        run_coded_sweep(coded_cfg(max_trials=2), workers=workers)
 
 
 def test_a_sweep_builds_one_process_pool(monkeypatch):
@@ -207,7 +237,7 @@ def test_a_failing_batch_cancels_the_queued_ones(monkeypatch):
         if batch_idx == 0:
             raise RuntimeError("batch 0 failed")
         time.sleep(0.3)
-        return n_trials, 0, n_trials
+        return _Counts(bits=n_trials, trials=n_trials)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", ThreadPoolExecutor)
     monkeypatch.setattr(harness, "_batch", batch)
@@ -241,15 +271,15 @@ def test_steady_state_sweep_takes_no_page_faults():
     assert float(out.stdout) < 100
 
 
-def test_sweep_process_loads_scipy_only_when_a_code_is_read():
+def test_sweeps_and_code_tools_load_no_scipy():
     # an uncoded sweep, a code's construction, a coded sweep that decodes with
-    # it and its syndrome load no scipy module; the 4-cycle census, which
-    # reads the code's sparse matrix, loads scipy.sparse
+    # it, its syndrome, its 4-cycle census and its alist export load no scipy
+    # module
     src = os.path.dirname(os.path.dirname(chemp.__file__))  # this chemp, not an installed one
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = textwrap.dedent("""
-        import sys
+        import os, sys
         import numpy as np
         import chemp, chemp.cli
         from chemp.harness import SimConfig, run_coded_sweep, run_uncoded_sweep
@@ -266,11 +296,12 @@ def test_sweep_process_loads_scipy_only_when_a_code_is_read():
         code.is_codeword(np.zeros(48))
         print(loaded())
         code.four_cycles()
-        print("scipy.sparse" in sys.modules)
+        chemp.write_alist(code, os.devnull)
+        print(loaded())
     """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env, timeout=120)
-    assert out.stdout.split("\n")[:4] == ["[]", "[]", "[]", "True"]
+    assert out.stdout.split("\n")[:4] == ["[]", "[]", "[]", "[]"]
 
 
 @pytest.mark.skipif(not harness._openblas_setters(), reason="no OpenBLAS library found")
@@ -411,11 +442,13 @@ def test_coded_halfwidth_clusters_errors_by_codeword():
 def test_coded_sweep_point_uses_codeword_halfwidth():
     cfg = coded_cfg(max_trials=10, batch_size=10)
     p = run_coded_sweep(cfg).points[0]
-    bits, errors, frames, frame_errors, sq = _batch(build_sweep_code(cfg), cfg, 0, 0, 10)
-    assert (p.bits, p.errors, p.frames, p.frame_errors) == (bits, errors, frames, frame_errors)
-    assert p.errors > 0 and sq >= p.errors
-    assert p.ci_halfwidth == _ci_halfwidth(errors, bits, frames * cfg.n_users, sq)
-    assert p.ci_halfwidth != _ci_halfwidth(errors, bits)
+    c = _batch(build_sweep_code(cfg), cfg, 0, 0, 10)
+    assert (p.bits, p.errors, p.frames, p.frame_errors) == (c.bits, c.errors, c.trials,
+                                                            c.frame_errors)
+    assert c.codewords == c.trials * cfg.n_users
+    assert p.errors > 0 and c.sq_errors >= p.errors
+    assert p.ci_halfwidth == _ci_halfwidth(c.errors, c.bits, c.trials * cfg.n_users, c.sq_errors)
+    assert p.ci_halfwidth != _ci_halfwidth(c.errors, c.bits)
 
 
 @pytest.mark.parametrize("receiver", ["chemp-estimated", "joint-estimated"])
@@ -444,13 +477,14 @@ def test_batch_draw_order(monkeypatch, receiver):
         res = joint_detect_decode(gram_observation_from_pilots(pilots, yc), code,
                                   cfg.joint, cfg.mpd)
         per_codeword = np.sum(res.info_bits != info, axis=-1)
-        want = (info.size, int(per_codeword.sum()), 3, int(np.any(per_codeword, axis=-1).sum()),
-                int(np.sum(per_codeword ** 2)))
+        want = _Counts(bits=info.size, errors=int(per_codeword.sum()), trials=3,
+                       codewords=3 * k, frame_errors=int(np.any(per_codeword, axis=-1).sum()),
+                       sq_errors=int(np.sum(per_codeword ** 2)))
     else:
         x, yc = transmit(ref, hc, nv, uses=12 - k)
         xh = hard_decision(mpd_detect(gram_observation_from_pilots(pilots, yc), cfg.mpd))
-        want = (x.size, int(np.sum(xh != x)), 3)
-    assert got[1] > 0
+        want = _Counts(bits=x.size, errors=int(np.sum(xh != x)), trials=3)
+    assert got.errors > 0
     assert got == want
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -495,8 +529,13 @@ def test_sweeps_reproduce_recorded_counts(receiver):
 def test_build_sweep_code_deterministic():
     a = build_sweep_code(coded_cfg())
     b = build_sweep_code(coded_cfg())
-    np.testing.assert_array_equal(a.parity_check.toarray(),
-                                  b.parity_check.toarray())
+
+    def dense(code):
+        h = np.zeros((code.m, code.n), np.uint8)
+        h[code.edge_chk, code.edge_var] = 1
+        return h
+
+    np.testing.assert_array_equal(dense(a), dense(b))
 
 
 def test_resolve_profile():

@@ -232,6 +232,13 @@ def test_measure_exit_detector_reproduces_recorded_values():
     np.testing.assert_allclose(out, recorded, rtol=1e-9)
 
 
+@pytest.mark.parametrize("name,value", [("n_channels", 0), ("uses_per_channel", 0),
+                                        ("n_channels", -2), ("uses_per_channel", -1)])
+def test_measure_exit_detector_needs_a_channel_and_a_use(name, value):
+    with pytest.raises(ValueError, match=f"{name}={value}"):
+        measure_exit_detector(8, 4, 6.0, [0.2], np.random.default_rng(0), **{name: value})
+
+
 def test_measure_exit_detector_transfer(rng):
     # fully loaded small system at low SNR: the transfer curve is visibly
     # below saturation and rises with the prior information
