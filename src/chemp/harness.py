@@ -489,6 +489,8 @@ def count_operations(receiver: str, n_antennas: int, n_users: int,
     r = receiver.lower()
     if r not in ("mpd", "mmse"):
         raise ValueError("receiver must be 'mpd' or 'mmse'")
+    if not 1 <= n_users <= n_antennas:
+        raise ValueError(f"need 1 <= K <= N, got N={n_antennas}, K={n_users}")
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     n, k = float(n_antennas), float(n_users)

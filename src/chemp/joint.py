@@ -8,7 +8,10 @@ rounds. A codeword that satisfies its checks leaves the decoder, frozen, and
 the detector keeps reading the extrinsic it left with, so a frame's bits do
 not depend on its batch mates; with zero decoder passes each codeword is the
 plain damped detector run for its own rounds. Each round's detector passes
-run `MpdEngine.run`, the one damped loop of `mpd`.
+run `MpdEngine.run`, the one damped loop of `mpd`, on a copy of the detector
+config whose `iterations` is `detector_passes`. The decoder returns the
+extrinsics it formed for the codewords live in a round, and the receiver
+keeps every codeword's latest one for the next round's prior.
 
 Also provides EXIT-style single-parameter tracking of the detector:
 extrinsic mutual information measured by histogram against consistent
@@ -16,14 +19,14 @@ Gaussian priors of prescribed prior information.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ldpc import LdpcCode, _ActiveSet, bp_decode_batch
 from .model import draw_channels, modulate, noise_variance, transmit
-from .mpd import (LLR_CLIP, GramObservation, MpdConfig, MpdEngine, matched_filter,
-                  mpd_detect)
+from .mpd import (DTYPE, LLR_CLIP, GramObservation, MpdConfig, MpdEngine,
+                  matched_filter, mpd_detect)
 
 __all__ = [
     "JointConfig",
@@ -76,7 +79,6 @@ class JointResult:
     success: np.ndarray                # (..., K) all checks satisfied
     outer_rounds: int                  # rounds run
     rounds: np.ndarray                 # (..., K) round left at, else outer_rounds
-    bit_llrs: np.ndarray = field(repr=False, default=None)  # (..., K, n)
 
 
 def bits_to_symbols(bits: np.ndarray, n_users: int) -> np.ndarray:
@@ -131,25 +133,28 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
     LLR convention: positive favors bit 0 / symbol +1.
     """
     cfg = cfg or JointConfig()
-    mpd_cfg = mpd_cfg or MpdConfig()
+    per_round = replace(mpd_cfg or MpdConfig(), iterations=cfg.detector_passes)
     n_users, lead = _framing(obs, code)
     engine = MpdEngine(obs)
     shape = lead + (n_users,)
-    dec = _ActiveSet(code, int(np.prod(shape, dtype=int)), soft=True)
+    dec = _ActiveSet(code, int(np.prod(shape, dtype=int)))
+    ext = np.zeros(dec.bits.shape, DTYPE)  # each codeword's latest extrinsic
     rounds = np.full(dec.ok.shape, cfg.outer_iterations)
 
     p = engine.uniform_beliefs()
     prior = None
     for r in range(1, cfg.outer_iterations + 1):
-        state = engine.run(mpd_cfg, p, prior, cfg.detector_passes)
+        state = engine.run(per_round, p, prior)
         p = state.p
         # the float32 detector LLRs enter the decoder, which runs in the same DTYPE
         flat = gather_bit_llrs(state.llr, n_users).reshape(-1, code.n)
-        rounds[dec.run(flat, cfg.decoder_passes)] = r
+        live = dec.live
+        left, formed = dec.run(flat, cfg.decoder_passes)
+        rounds[left] = r
         if not dec.live.size:
             break
-        prior = np.clip(_symbol_layout(dec.extrinsic().reshape(shape + (code.n,))),
-                        -LLR_CLIP, LLR_CLIP)
+        ext[live] = formed
+        prior = np.clip(_symbol_layout(ext.reshape(shape + (code.n,))), -LLR_CLIP, LLR_CLIP)
     dec.finish(flat)
 
     return JointResult(
@@ -158,7 +163,6 @@ def joint_detect_decode(obs: GramObservation, code: LdpcCode,
         success=dec.ok.reshape(shape),
         outer_rounds=r,
         rounds=rounds.reshape(shape),
-        bit_llrs=dec.post.reshape(shape + (code.n,)),
     )
 
 
@@ -168,8 +172,7 @@ def detect_then_decode(obs: GramObservation, code: LdpcCode,
     n_users, lead = _framing(obs, code)
 
     state = mpd_detect(obs, mpd_cfg)
-    bit_llr = gather_bit_llrs(state.llr, n_users)
-    flat = bit_llr.reshape(-1, code.n)
+    flat = gather_bit_llrs(state.llr, n_users).reshape(-1, code.n)
     bits, ok, _ = bp_decode_batch(code, flat, decoder_iterations)
     return JointResult(
         codeword_bits=bits.reshape(lead + (n_users, code.n)),
@@ -177,7 +180,6 @@ def detect_then_decode(obs: GramObservation, code: LdpcCode,
         success=ok.reshape(lead + (n_users,)),
         outer_rounds=0,
         rounds=np.zeros(lead + (n_users,), dtype=int),
-        bit_llrs=bit_llr.reshape(lead + (n_users, code.n)),
     )
 
 
@@ -246,13 +248,16 @@ def measure_exit_detector(n_antennas: int, n_users: int, snr_db: float,
     For each prior information value, feeds consistent Gaussian priors of
     matching strength into the detector (run with priors held fixed) and
     measures the extrinsic mutual information of its output LLRs by
-    histogram. Returns an array aligned with `prior_info`.
+    histogram. Every prior information value must lie in [0, 1]. Returns
+    an array aligned with `prior_info`.
     """
     if n_channels < 1 or uses_per_channel < 1:
         raise ValueError("need at least one channel and one use per channel, got "
                          f"n_channels={n_channels}, uses_per_channel={uses_per_channel}")
-    mpd_cfg = mpd_cfg or MpdConfig()
     prior_info = np.atleast_1d(np.asarray(prior_info, dtype=float))
+    if not np.all((prior_info >= 0.0) & (prior_info <= 1.0)):
+        raise ValueError(f"prior information must lie in [0, 1], got {prior_info.tolist()}")
+    mpd_cfg = mpd_cfg or MpdConfig()
     nv = noise_variance(snr_db, n_users)
     hc = draw_channels(rng, n_antennas, n_users, n_channels)
     x, yc = transmit(rng, hc, nv, uses=uses_per_channel)

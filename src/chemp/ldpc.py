@@ -543,60 +543,45 @@ class SumProduct:
 
 class _ActiveSet:
     """Decoder state of B rows. A row that satisfies every check leaves with its
-    decisions frozen, and with its extrinsic and posterior if `soft`, so no row
-    depends on its batch mates. Check messages and extrinsics are kept for the
-    live rows only, compacted with `np.take` as rows leave. Each `run` forms
-    the live rows' posterior and decisions once, for the syndrome, and keeps
-    them only for the rows that leave. Without `soft`, `ext` and `post` are
-    None and no extrinsic or posterior is stored. `extrinsic` writes the live
-    rows' extrinsics, and `finish` their decisions and posterior."""
+    decisions frozen, so no row depends on its batch mates. Check messages and
+    extrinsics are kept for the live rows only, compacted with `np.take` as
+    rows leave. Each `run` forms the live rows' decisions once, for the
+    syndrome, and keeps them only for the rows that leave; `finish` writes
+    the decisions of the rows still live."""
 
-    def __init__(self, code: LdpcCode, batch: int, soft: bool = False):
+    def __init__(self, code: LdpcCode, batch: int):
         self.kernel = code.kernel
         self.c2v = self.kernel.fresh_messages(batch)
         self.live_ext = np.zeros((batch, code.n), DTYPE)
-        self.ext = np.zeros((batch, code.n), DTYPE) if soft else None
-        self.post = np.zeros((batch, code.n), DTYPE) if soft else None
         self.bits = np.zeros((batch, code.n), dtype=np.uint8)
         self.ok = np.zeros(batch, dtype=bool)
         self.live = np.arange(batch)
 
-    def run(self, llrs: np.ndarray, passes: int) -> np.ndarray:
+    def run(self, llrs: np.ndarray, passes: int):
         """`passes` flooding iterations on the live rows of the (B, n) LLRs,
-        then their syndrome. Returns the rows that leave."""
+        then their syndrome. Returns the rows that leave, and the extrinsics
+        formed for the rows live at the call, in `live`'s order then."""
         kern, live = self.kernel, self.live
         c2v, ext, llr = self.c2v, self.live_ext, np.take(llrs, live, axis=0)
         for _ in range(passes):
             c2v = kern.check_update(kern.var_update(llr + ext, c2v))
             ext = kern.extrinsic(c2v)
-        post = llr + ext
-        bits = post < 0
+        bits = llr + ext < 0
         ok = ~kern.syndrome(bits).any(axis=1)
-        left = live[ok]
+        left, formed = live[ok], ext
         if left.size:
-            if self.ext is not None:
-                self.ext[left], self.post[left] = ext[ok], post[ok]
             self.bits[left] = bits[ok]
             self.ok[left] = True
             keep = np.flatnonzero(~ok)
             c2v, ext, self.live = np.take(c2v, keep, axis=1), ext[keep], live[keep]
         self.c2v, self.live_ext = c2v, ext
-        return left
-
-    def extrinsic(self) -> np.ndarray:
-        """Every row's extrinsic, (B, n): the frozen one of a row that left,
-        the last `run`'s of a live row; `soft` state only."""
-        self.ext[self.live] = self.live_ext
-        return self.ext
+        return left, formed
 
     def finish(self, llrs: np.ndarray):
-        """Write the decisions and posterior of the rows still live, as the
-        last `run` on the same LLRs formed them."""
+        """Write the decisions of the rows still live, as the last `run` on
+        the same LLRs formed them."""
         live = self.live
-        post = llrs[live] + self.live_ext
-        self.bits[live] = post < 0
-        if self.post is not None:
-            self.post[live] = post
+        self.bits[live] = llrs[live] + self.live_ext < 0
 
 
 def bp_decode_batch(code: LdpcCode, llrs: np.ndarray, max_iters: int):

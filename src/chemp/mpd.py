@@ -16,7 +16,8 @@ extrapolation accelerates the damped sequence once it contracts geometrically.
 `MpdEngine.run` drains it. The plain detector, the joint detector/decoder and
 the EXIT measurement all run it, the last two with fixed prior LLRs added to
 L before the logistic, and the fixed-point residuals of `analysis` read its
-iterates as they come. Every LLR is clipped to +-LLR_CLIP.
+iterates as they come. Every caller runs its config's `iterations` steps.
+Every LLR is clipped to +-LLR_CLIP.
 
 The observation carries G, so J's block structure belongs to the type: the
 lower K rows of J repeat the upper K rows with the halves of the belief
@@ -102,8 +103,7 @@ DTYPE = np.float32
 class MpdConfig:
     """Schedule of the damped loop: `iterations` steps of belief damping
     `damping`, and guarded Aitken extrapolation on every third step when
-    `aitken` is set. The joint receiver runs its own step count per outer
-    round."""
+    `aitken` is set."""
 
     iterations: int = 20
     damping: float = 0.33
@@ -241,16 +241,16 @@ class MpdEngine:
         return L, p_new
 
     def iterate(self, cfg: MpdConfig, p: np.ndarray | None = None,
-                prior: np.ndarray | None = None, steps: int | None = None):
-        """The damped loop: `steps` (default `cfg.iterations`) steps from
-        beliefs p (default uniform) with the prior LLRs held fixed, yielding
-        (L, p) after each step, after any Aitken replacement. Beliefs and
-        prior are cast to the engine's `DTYPE`; `step` and the extrapolation
-        return fresh arrays, so no yielded array is written afterwards."""
+                prior: np.ndarray | None = None):
+        """The damped loop: `cfg.iterations` steps from beliefs p (default
+        uniform) with the prior LLRs held fixed, yielding (L, p) after each
+        step, after any Aitken replacement. Beliefs and prior are cast to the
+        engine's `DTYPE`; `step` and the extrapolation return fresh arrays, so
+        no yielded array is written afterwards."""
         p = self.uniform_beliefs() if p is None else np.asarray(p, dtype=DTYPE)
         prior = None if prior is None else np.asarray(prior, dtype=DTYPE)
         window: list[np.ndarray] = []
-        for _ in range(cfg.iterations if steps is None else steps):
+        for _ in range(cfg.iterations):
             L, p = self.step(p, cfg.damping, prior)
             if cfg.aitken:
                 window.append(p)
@@ -260,12 +260,12 @@ class MpdEngine:
             yield L, p
 
     def run(self, cfg: MpdConfig, p: np.ndarray | None = None,
-            prior: np.ndarray | None = None, steps: int | None = None) -> BeliefState:
+            prior: np.ndarray | None = None) -> BeliefState:
         """The last iterate of `iterate`: zero LLRs and the starting beliefs
         when no step runs."""
         p = self.uniform_beliefs() if p is None else np.asarray(p, dtype=DTYPE)
         L = None  # no zero array per call: joint runs one call per outer round
-        for L, p in self.iterate(cfg, p, prior, steps):
+        for L, p in self.iterate(cfg, p, prior):
             pass
         return BeliefState(p=p, llr=np.zeros_like(p) if L is None else L)
 

@@ -187,6 +187,22 @@ def test_opcount_output(tmp_path, capsys):
     assert (tmp_path / "opcount.csv").exists()
 
 
+@pytest.mark.parametrize("n,k", [("0", "0"), ("-3", "2"), ("4", "8")])
+def test_opcount_rejects_sizes_no_receiver_runs(tmp_path, capsys, n, k):
+    assert run(tmp_path, "opcount", "--n", n, "--k", k) == 1
+    captured = capsys.readouterr()
+    assert f"error: need 1 <= K <= N, got N={n}, K={k}" in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("grid", ["2", "-0.5", "0.2,nan"])
+def test_exit_rejects_prior_information_outside_unit_interval(tmp_path, capsys, grid):
+    assert run(tmp_path, "exit", "--n", "8", "--k", "4", f"--ia-grid={grid}",
+               "--channels", "2", "--uses", "2") == 1
+    assert "error: prior information must lie in [0, 1]" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_code_build_writes_alist(tmp_path, capsys):
     rc = run(tmp_path, "code-build", "--code", "regular-3-6",
              "--block-length", "128", "--seed", "7")

@@ -565,6 +565,14 @@ def test_count_operations_grows_with_iterations():
     assert b.total > a.total > count_operations("mpd", 64, 32, 0).total
 
 
+@pytest.mark.parametrize("receiver", ["mpd", "mmse"])
+@pytest.mark.parametrize("n,k", [(0, 0), (-3, 2), (4, 8), (4, 0), (4, -1)])
+def test_count_operations_needs_a_runnable_size(receiver, n, k):
+    # 1 <= K <= N, as every receiver's channel draw requires
+    with pytest.raises(ValueError, match=f"N={n}, K={k}"):
+        count_operations(receiver, n, k)
+
+
 def test_count_operations_model_documented():
     c = count_operations("mmse", 128, 64)
     assert c.total == sum(c.breakdown.values())

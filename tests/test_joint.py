@@ -93,7 +93,8 @@ def test_joint_noiseless_recovery(tiny_code, rng):
 def test_joint_with_zero_decoder_passes_is_plain_detection(tiny_code, rng):
     # with no decoder work the schedule degenerates to damped detection; a
     # codeword leaves once its hard decisions satisfy every check, so each
-    # codeword is compared against a detector run of its own realized length
+    # codeword is compared against a detector run of its own realized length.
+    # The extrinsic stays zero, so its decisions are exactly the detector's
     obs, info, words = coded_observation(tiny_code, 16, 16, 10.0, rng)
     cfg = JointConfig(outer_iterations=12, detector_passes=1, decoder_passes=0)
     res = joint_detect_decode(obs, tiny_code, cfg)
@@ -101,21 +102,28 @@ def test_joint_with_zero_decoder_passes_is_plain_detection(tiny_code, rng):
     assert len(np.unique(res.rounds)) > 3 and res.rounds.min() < res.outer_rounds
     for user, r in enumerate(res.rounds):
         state = mpd_detect(obs, MpdConfig(iterations=int(r), damping=0.33))
-        np.testing.assert_allclose(res.bit_llrs[user],
-                                   gather_bit_llrs(state.llr, 16)[user], atol=1e-12)
+        np.testing.assert_array_equal(res.codeword_bits[user],
+                                      gather_bit_llrs(state.llr, 16)[user] < 0)
 
 
 def test_decoders_run_in_float32(tiny_code, rng):
     # one precision policy: the float32 detector LLRs enter the float32
-    # decoder as they are, and both receivers return float32 bit LLRs
+    # decoder as they are
     obs, info, words = coded_observation(tiny_code, 16, 8, 6.0, rng)
     assert mpd_detect(obs, MpdConfig(iterations=2)).llr.dtype == np.float32
     assert tiny_code.kernel.fresh_messages(3).dtype == np.float32
-    joint = joint_detect_decode(obs, tiny_code, JointConfig(outer_iterations=3))
-    separate = detect_then_decode(obs, tiny_code, MpdConfig(iterations=3), 5)
-    for res in (joint, separate):
-        assert res.bit_llrs.dtype == np.float32
-        assert res.bit_llrs.shape == (8, tiny_code.n)
+
+
+def test_joint_ignores_the_detector_iteration_count(tiny_code, rng):
+    # each outer round runs `detector_passes` steps; `MpdConfig.iterations`
+    # is unread, while its damping and Aitken switch are read
+    obs, info, words = coded_observation(tiny_code, 16, 8, 6.0, rng)
+    cfg = JointConfig(outer_iterations=4, detector_passes=3)
+    for aitken in (False, True):
+        a, b = (joint_detect_decode(obs, tiny_code, cfg, MpdConfig(iterations=i, aitken=aitken))
+                for i in (0, 20))
+        for name in ("codeword_bits", "info_bits", "success", "rounds", "outer_rounds"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_joint_beats_separate_at_moderate_snr(tiny_code, rng):
@@ -156,7 +164,7 @@ def test_joint_batched_frames(tiny_code, rng):
     # a frame's result does not depend on which frames share its batch
     for i, obs in enumerate(frames):
         alone = joint_detect_decode(obs, tiny_code, cfg)
-        for name in ("codeword_bits", "info_bits", "success", "rounds", "bit_llrs"):
+        for name in ("codeword_bits", "info_bits", "success", "rounds"):
             assert np.array_equal(getattr(rb, name)[i], getattr(alone, name)), name
 
 
@@ -237,6 +245,21 @@ def test_measure_exit_detector_reproduces_recorded_values():
 def test_measure_exit_detector_needs_a_channel_and_a_use(name, value):
     with pytest.raises(ValueError, match=f"{name}={value}"):
         measure_exit_detector(8, 4, 6.0, [0.2], np.random.default_rng(0), **{name: value})
+
+
+@pytest.mark.parametrize("grid", [[2.0], [-0.5], [0.2, 1.5], [float("nan")]])
+def test_measure_exit_detector_needs_prior_information_in_unit_interval(grid):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        measure_exit_detector(8, 4, 6.0, grid, rng, n_channels=2, uses_per_channel=2)
+    # rejected before anything is drawn
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_measure_exit_detector_accepts_the_unit_interval_ends():
+    out = measure_exit_detector(8, 4, 6.0, [0.0, 1.0], np.random.default_rng(0),
+                                n_channels=2, uses_per_channel=2)
+    assert out.shape == (2,) and np.all((out >= 0) & (out <= 1))
 
 
 def test_measure_exit_detector_transfer(rng):
